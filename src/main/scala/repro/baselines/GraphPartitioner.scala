@@ -1,6 +1,7 @@
 package repro.baselines
 
 import java.util.Random
+import repro.Rng.shuffle
 
 /** Balanced k-NN-graph partitioning — the substrate Neural LSH needs.
   *
@@ -104,73 +105,6 @@ object GraphPartitioner {
     }
     refine(adj, bin, size, m, cap, rng, refinePasses)
     bin
-  }
-
-  /** Balanced partition seeded from an externally supplied assignment
-    * (e.g., K-means cells): enforce the capacity cap by evicting the
-    * least-connected nodes of oversized bins, then KL-refine. Multilevel
-    * partitioners like KaHIP reach cuts at or below good geometric
-    * partitions; seeding from geometry gets our substitute into that
-    * regime at scales where pure BFS growth plateaus.
-    */
-  def partitionWithInit(adj: Array[Array[Int]], m: Int, initial: Array[Int],
-                        eps: Double = 0.05, seed: Long = 1,
-                        refinePasses: Int = 8): Array[Int] = {
-    val n = adj.length
-    require(initial.length == n && initial.forall(b => b >= 0 && b < m))
-    val cap = math.ceil((1 + eps) * n / m).toInt
-    val rng = new Random(seed)
-    val bin = initial.clone()
-    val size = new Array[Int](m)
-    bin.foreach(size(_) += 1)
-    // Evict from oversized bins: lowest internal connectivity first.
-    for (b <- 0 until m if size(b) > cap) {
-      val members = (0 until n).filter(bin(_) == b)
-      val byConn = members.sortBy(v => adj(v).count(bin(_) == b))
-      var i = 0
-      while (size(b) > cap && i < byConn.length) {
-        val v = byConn(i)
-        // best under-cap destination by neighbor count
-        var best = -1; var bestScore = -1
-        for (c <- 0 until m if c != b && size(c) < cap) {
-          val s = adj(v).count(bin(_) == c)
-          if (s > bestScore) { bestScore = s; best = c }
-        }
-        if (best >= 0) { bin(v) = best; size(b) -= 1; size(best) += 1 }
-        i += 1
-      }
-    }
-    refine(adj, bin, size, m, cap, rng, refinePasses)
-    bin
-  }
-
-  /** Recursive bisection: split the graph into two balanced halves
-    * (BFS growth + KL at m=2, where move-based refinement is most
-    * effective), then recurse on each side's induced subgraph. `m` must be
-    * a power of two. This is the classic multilevel-partitioner outer loop
-    * and reaches markedly lower cuts than direct m-way growth at scale.
-    */
-  def partitionRecursive(adj: Array[Array[Int]], m: Int, eps: Double = 0.05,
-                         seed: Long = 1, refinePasses: Int = 12): Array[Int] = {
-    require(m >= 1 && (m & (m - 1)) == 0, s"m=$m must be a power of two")
-    val n = adj.length
-    val out = new Array[Int](n)
-    def go(nodes: Array[Int], bins: Int, binBase: Int, s: Long): Unit = {
-      if (bins == 1 || nodes.length <= 1) {
-        nodes.foreach(out(_) = binBase)
-      } else {
-        // induced subgraph
-        val local = nodes.zipWithIndex.toMap
-        val subAdj = nodes.map(v => adj(v).flatMap(local.get(_)))
-        val half = partition(subAdj, 2, eps, s, refinePasses)
-        val left = nodes.indices.filter(half(_) == 0).map(nodes).toArray
-        val right = nodes.indices.filter(half(_) == 1).map(nodes).toArray
-        go(left, bins / 2, binBase, s * 31 + 1)
-        go(right, bins / 2, binBase + bins / 2, s * 31 + 2)
-      }
-    }
-    go(Array.tabulate(n)(identity), m, 0, seed)
-    out
   }
 
   /** KL-style refinement: move a node to the bin with the best cut gain if
@@ -378,14 +312,5 @@ object GraphPartitioner {
       i += 1
     }
     cut
-  }
-
-  private def shuffle(a: Array[Int], rng: Random): Unit = {
-    var i = a.length - 1
-    while (i > 0) {
-      val j = rng.nextInt(i + 1)
-      val t = a(i); a(i) = a(j); a(j) = t
-      i -= 1
-    }
   }
 }

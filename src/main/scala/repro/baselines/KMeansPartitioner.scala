@@ -11,17 +11,7 @@ import repro.core.{KnnMatrix, SpacePartitioner}
 final class KMeansPartitioner(val centroids: Array[Array[Double]]) extends SpacePartitioner {
   override val numBins: Int = centroids.length
 
-  override def assign(v: Array[Double]): Int = {
-    var best = 0
-    var bd = Double.MaxValue
-    var c = 0
-    while (c < centroids.length) {
-      val d = KnnMatrix.sqDist(centroids(c), v)
-      if (d < bd) { bd = d; best = c }
-      c += 1
-    }
-    best
-  }
+  override def assign(v: Array[Double]): Int = KMeansPartitioner.nearest(centroids, v)
 
   override def probeOrder(q: Array[Double]): Array[Int] =
     Array.tabulate(numBins)(identity)

@@ -1,6 +1,7 @@
 package repro.baselines
 
-import repro.core.{SpacePartitioner, UspConfig, ModelPartitioner}
+import repro.Rng
+import repro.core.{SpacePartitioner, ModelPartitioner}
 import repro.linalg.Mat
 import repro.nn.{Adam, Net}
 import java.util.Random
@@ -53,9 +54,7 @@ object NeuralLsh {
     val trace = new Array[Double](epochs)
     var epoch = 0
     while (epoch < epochs) {
-      // Fisher-Yates
-      var i = n - 1
-      while (i > 0) { val j = rng.nextInt(i + 1); val t = idx(i); idx(i) = idx(j); idx(j) = t; i -= 1 }
+      Rng.shuffle(idx, rng)
       var lossSum = 0.0
       var steps = 0
       var start = 0

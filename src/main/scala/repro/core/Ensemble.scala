@@ -18,16 +18,17 @@ object Ensemble {
 
   final case class Trained(models: Seq[UspModel], indexes: Seq[PartitionIndex])
 
-  /** @param weightFloor minimum per-point weight (after mean-1 renormalising)
-    *   fed to later models. The paper's raw multiplicative update zeroes the
-    *   weight of every point whose neighbors were all kept together; at
-    *   small m that is most of the dataset, which would leave later models
-    *   with no signal about the bulk of the space. The floor keeps them
-    *   anchored to the global structure while still over-weighting the hard
-    *   points (DESIGN.md §6).
+  /** Minimum per-point weight (after mean-1 renormalising) fed to later
+    * models. The paper's raw multiplicative update zeroes the weight of every
+    * point whose neighbors were all kept together; at small m that is most
+    * of the dataset, which would leave later models with no signal about the
+    * bulk of the space. The floor keeps them anchored to the global
+    * structure while still over-weighting the hard points (DESIGN.md §6).
     */
+  private val WeightFloor = 0.1
+
   def train(data: Array[Array[Double]], knn: Array[Array[Int]], cfg: UspConfig,
-            e: Int, weightFloor: Double = 0.1): Trained = {
+            e: Int): Trained = {
     require(e >= 1)
     val n = data.length
     var w = Array.fill(n)(1.0)
@@ -39,7 +40,7 @@ object Ensemble {
       models += model
       indexes += new PartitionIndex(new ModelPartitioner(model.net, cfg.m), model.assignments)
       if (j < e - 1) {
-        w = nextWeights(w, knn, model.assignments).map(math.max(_, weightFloor))
+        w = nextWeights(w, knn, model.assignments).map(math.max(_, WeightFloor))
       }
       j += 1
     }
@@ -77,23 +78,18 @@ object Ensemble {
   * "which model actually knows this region" semantics Algorithm 4 intends.
   */
 final class EnsembleIndex(trained: Ensemble.Trained,
-                          calibrationData: Array[Array[Double]] = null,
-                          confidence: String = "mass") extends CandidateIndex {
+                          calibrationData: Array[Array[Double]] = null) extends CandidateIndex {
   private val parts = trained.indexes
   private val partitioners = parts.map(_.partitioner.asInstanceOf[ModelPartitioner])
   private val m = parts.head.partitioner.numBins
 
-  /** conf(model, q, m') under the chosen mode: "top1" is Algorithm 4
-    * verbatim (the model's highest probability); "mass" generalises it to
-    * the total probability the model puts on the m' bins it would probe —
-    * the same quantity at m'=1, strictly more informative deeper into the
-    * sweep.
+  /** conf(model, q, m'): the total probability the model puts on the m'
+    * bins it would probe. At m'=1 this is Algorithm 4 verbatim (the model's
+    * highest probability); deeper into the sweep it is strictly more
+    * informative.
     */
-  private def rawConf(j: Int, q: Array[Double], mProbe: Int): Double = {
-    val p = partitioners(j).probs(q)
-    if (confidence == "top1") p.max
-    else p.sorted.takeRight(math.min(mProbe, m)).sum
-  }
+  private def rawConf(j: Int, q: Array[Double], mProbe: Int): Double =
+    partitioners(j).probs(q).sorted.takeRight(math.min(mProbe, m)).sum
 
   // per-(model, probe-depth) calibration over a data sample
   private val calib: Array[Array[Double]] =

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.SynthData
+import org.apache.spark.sql.SparkSession
 
 /** Exact k'-NN matrix construction (Algorithm 1, step 1).
   *
@@ -99,22 +98,4 @@ object KnnMatrix {
     out.foreach { case (i, nb) => res(i) = nb }
     res
   }
-
-  /** DataFrame view of the k'-NN matrix: `(id BIGINT, neighbors ARRAY<BIGINT>)`.
-    * This is what downstream Spark dataflow (candidate evaluation joins)
-    * consumes; tests oracle-check it against a pure-SQL DuckDB computation.
-    */
-  def knnMatrixDF(spark: SparkSession, base: Array[Array[Double]], k: Int): DataFrame = {
-    import spark.implicits._
-    val m = selfKnn(spark, base, k)
-    spark.sparkContext
-      .parallelize(m.toIndexedSeq.zipWithIndex.map { case (nb, i) =>
-        (i.toLong, nb.toSeq.map(_.toLong))
-      })
-      .toDF("id", "neighbors")
-  }
-
-  /** Convenience: build base/query driver arrays plus their DataFrames. */
-  def vecDF(spark: SparkSession, vecs: Array[Array[Double]]): DataFrame =
-    SynthData.toVecDF(spark, vecs)
 }

@@ -11,12 +11,8 @@ package repro.core
 object ParamCount {
 
   /** One Linear→BN→ReLU→Linear MLP: (d·h + h) + 2h + (h·m + m). */
-  def mlp(d: Int, hidden: Int, m: Int, batchNorm: Boolean = true): Long = {
-    val l1 = d.toLong * hidden + hidden
-    val bn = if (batchNorm) 2L * hidden else 0L
-    val l2 = hidden.toLong * m + m
-    l1 + bn + l2
-  }
+  def mlp(d: Int, hidden: Int, m: Int): Long =
+    (d.toLong * hidden + hidden) + 2L * hidden + (hidden.toLong * m + m)
 
   /** A 2-level hierarchy of MLPs: root(d→h→m1) + m1 leaves (d→h→m2). */
   def hierarchicalMlp(d: Int, hidden: Int, m1: Int, m2: Int): Long =

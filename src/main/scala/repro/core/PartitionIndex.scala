@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.linalg.Mat
 import repro.nn.Net
 
@@ -63,17 +63,6 @@ final class PartitionIndex(val partitioner: SpacePartitioner,
   def search(data: Array[Array[Double]], q: Array[Double], k: Int, mProbe: Int): Array[Int] = {
     val cand = candidates(q, mProbe)
     cand.map(i => (KnnMatrix.sqDist(data(i), q), i)).sortBy(_._1).take(k).map(_._2)
-  }
-
-  /** The assignment table as a DataFrame `(id BIGINT, bin INT)` — the
-    * distributed form of the lookup table, consumed by the Spark-side
-    * evaluation joins (and oracle-checked in tests).
-    */
-  def assignmentDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    spark.sparkContext
-      .parallelize(assignments.toIndexedSeq.zipWithIndex.map { case (b, i) => (i.toLong, b) })
-      .toDF("id", "bin")
   }
 }
 

@@ -2,7 +2,9 @@ package repro.core
 
 import repro.linalg.Mat
 import repro.nn.{Adam, Net}
+import java.lang.Double.isFinite
 import java.util.Random
+import repro.Rng.shuffle
 
 /** Configuration of one USP training run (Algorithm 1, step 2).
   *
@@ -26,14 +28,6 @@ final case class UspConfig(
       * false = amortise with full-dataset assignments refreshed per epoch.
       */
     exactTargets: Boolean = true,
-    /** true = targets are the MEAN of the neighbors' soft probability rows
-      * instead of the histogram of their argmax bins. Early in training this
-      * behaves like label diffusion over the k'-NN graph (probability mass
-      * equilibrates within connected regions before boundaries harden),
-      * which escapes the smooth-boundary local minima that hard targets
-      * lock into on manifold-shaped data. Requires exactTargets.
-      */
-    softTargets: Boolean = false,
 )
 
 /** Result of a training run: the model, final hard assignments of the
@@ -46,10 +40,11 @@ final case class UspModel(net: Net, assignments: Array[Int], lossTrace: Array[Do
   *
   * Training runs on the driver over the collected vector array, mirroring
   * the paper's single-GPU loop; the k'-NN matrix comes in precomputed (a
-  * Spark job, see [[KnnMatrix]]). Neighbor-bin targets are refreshed from
-  * full-dataset hard assignments once per epoch — an amortisation of the
-  * paper's per-batch neighbor forward pass that keeps the same fixed-point
-  * (targets equal the model's own assignments) at a fraction of the flops.
+  * Spark job, see [[KnnMatrix]]). Neighbor-bin targets come from a forward
+  * pass over each batch's neighbors (`exactTargets`, the default) or are
+  * refreshed from full-dataset hard assignments once per epoch — an
+  * amortisation that keeps the same fixed-point (targets equal the model's
+  * own assignments) at a fraction of the flops.
   */
 object UspTrainer {
 
@@ -85,34 +80,17 @@ object UspTrainer {
         val targets =
           if (cfg.exactTargets) {
             // Equation 8-9 verbatim: run the batch's neighbors through the
-            // model (inference mode, no grad); histogram their hard bins, or
-            // average their soft rows when softTargets is set.
+            // model (inference mode, no grad) and histogram their hard bins.
             val nbIdx = batchIdx.flatMap(knn(_))
-            val nbProbs = net.predictProbs(x.selectRows(nbIdx))
-            val t = repro.linalg.Mat.zeros(batchIdx.length, cfg.m)
-            if (cfg.softTargets) {
-              var r = 0; var o = 0
-              while (r < batchIdx.length) {
-                val kk = knn(batchIdx(r)).length
-                val inc = 1.0 / kk
-                var s = 0
-                while (s < kk) {
-                  var j = 0
-                  while (j < cfg.m) { t(r, j) += inc * nbProbs(o, j); j += 1 }
-                  o += 1; s += 1
-                }
-                r += 1
-              }
-            } else {
-              val nbBins = nbProbs.argmaxRows
-              var r = 0; var o = 0
-              while (r < batchIdx.length) {
-                val kk = knn(batchIdx(r)).length
-                val inc = 1.0 / kk
-                var s = 0
-                while (s < kk) { t(r, nbBins(o)) += inc; o += 1; s += 1 }
-                r += 1
-              }
+            val nbBins = net.predictProbs(x.selectRows(nbIdx)).argmaxRows
+            val t = Mat.zeros(batchIdx.length, cfg.m)
+            var r = 0; var o = 0
+            while (r < batchIdx.length) {
+              val kk = knn(batchIdx(r)).length
+              val inc = 1.0 / kk
+              var s = 0
+              while (s < kk) { t(r, nbBins(o)) += inc; o += 1; s += 1 }
+              r += 1
             }
             t
           } else UspLoss.neighborBinTargets(batchIdx, knn, assignments, cfg.m)
@@ -128,6 +106,15 @@ object UspTrainer {
         start = end
       }
       trace(epoch) = lossSum / steps
+      // A NaN/Inf input or a diverged step poisons the weights, after which
+      // every point lands in one bin. The loss alone does not show it: ReLU
+      // maps the NaNs of a poisoned BatchNorm to 0, so the weights are checked
+      // too.
+      val weightsFinite = net.params.forall(_.v.a.forall(isFinite))
+      if (!isFinite(trace(epoch)) || !weightsFinite)
+        throw new IllegalStateException(
+          s"USP training diverged in epoch ${epoch + 1} of ${cfg.epochs}: " +
+          s"mean loss ${trace(epoch)}, weights finite: $weightsFinite")
       assignments = inferAssignments(net, x)
       epoch += 1
     }
@@ -148,18 +135,5 @@ object UspTrainer {
       start = end
     }
     out
-  }
-
-  /** Per-point probe probabilities for a batch of queries. */
-  def queryProbs(net: Net, queries: Array[Array[Double]]): Mat =
-    net.predictProbs(Mat.fromRows(queries.toIndexedSeq))
-
-  private def shuffle(a: Array[Int], rng: Random): Unit = {
-    var i = a.length - 1
-    while (i > 0) {
-      val j = rng.nextInt(i + 1)
-      val t = a(i); a(i) = a(j); a(j) = t
-      i -= 1
-    }
   }
 }

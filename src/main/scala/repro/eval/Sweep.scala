@@ -1,7 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.CandidateIndex
 
 /** Accuracy-vs-candidate-size sweeps (the measurement behind Figures 5–7 and
@@ -59,23 +57,5 @@ object Sweep {
           case _ => Some(hi.avgCand)
         }
     }
-  }
-
-  /** Distributed form of one sweep step: given the assignment table
-    * `(id, bin)`, per-query probed bins `(qid, bins ARRAY<INT>)` and
-    * ground-truth `(qid, neighbors ARRAY<BIGINT>)`, compute per-query
-    * candidate-set size and ground-truth hit count with DataFrame joins.
-    * Tests oracle-check this against DuckDB SQL.
-    */
-  def sparkEval(spark: SparkSession, assignDF: DataFrame,
-                queryBinsDF: DataFrame, gtDF: DataFrame): DataFrame = {
-    val probed = queryBinsDF.select(col("qid"), explode(col("bins")).as("bin"))
-    val cand = probed.join(assignDF, "bin").select(col("qid"), col("id"))
-    val candSize = cand.groupBy("qid").agg(count(lit(1)).as("cand_size"))
-    val gtExpl = gtDF.select(col("qid"), explode(col("neighbors")).as("id"))
-    val hits = gtExpl.join(cand, Seq("qid", "id"))
-      .groupBy("qid").agg(count(lit(1)).as("hits"))
-    candSize.join(hits, Seq("qid"), "left")
-      .select(col("qid"), col("cand_size"), coalesce(col("hits"), lit(0L)).as("hits"))
   }
 }

@@ -30,13 +30,10 @@ object Net {
   /** The paper's neural architecture (§5.2): Linear→BN→ReLU hidden block(s),
     * then a Linear output of `m` logits; dropout 0.1 between blocks.
     */
-  def mlp(d: Int, hidden: Int, m: Int, seed: Long, dropout: Double = 0.1,
-          batchNorm: Boolean = true): Net = {
+  def mlp(d: Int, hidden: Int, m: Int, seed: Long, dropout: Double = 0.1): Net = {
     val rng = new Random(seed)
     val hid: Seq[Layer] =
-      Seq(new Linear(d, hidden, rng)) ++
-      (if (batchNorm) Seq(new BatchNorm(hidden)) else Nil) ++
-      Seq(new ReLU) ++
+      Seq(new Linear(d, hidden, rng), new BatchNorm(hidden), new ReLU) ++
       (if (dropout > 0) Seq(new Dropout(dropout, rng)) else Nil)
     new Net(hid :+ new Linear(hidden, m, rng))
   }

@@ -1,8 +1,8 @@
 package repro
 
-import org.apache.spark.sql.functions._
+import org.scalatest.funsuite.AnyFunSuite
 
-class SynthDataSpec extends SparkSpec {
+class SynthDataSpec extends AnyFunSuite {
 
   test("gaussianMixture is deterministic in seed and has the right shape") {
     val a = SynthData.gaussianMixture(100, 8, 4, seed = 1)
@@ -58,37 +58,5 @@ class SynthDataSpec extends SparkSpec {
       val my = cpts.map(_(1)).sum / cpts.length
       assert(math.abs(math.abs(mx) - 4.0) < 1.0 && math.abs(math.abs(my) - 4.0) < 1.0)
     }
-  }
-
-  test("toVecDF has schema (id, vec) and one row per point") {
-    val data = SynthData.gaussianMixture(50, 4, 2, seed = 13)
-    val df = SynthData.toVecDF(spark, data)
-    assert(df.columns.toSeq == Seq("id", "vec"))
-    assert(df.count() == 50)
-    val row = df.filter(col("id") === 7L).collect()(0)
-    assert(row.getSeq[Double](1).toArray.sameElements(data(7)))
-  }
-
-  test("toVecDF ids are exactly 0..n-1 (oracle-checked)") {
-    val data = SynthData.gaussianMixture(30, 3, 2, seed = 15)
-    val df = SynthData.toVecDF(spark, data)
-    val stats = df.agg(
-      count(lit(1)).cast("double").as("n"),
-      min(col("id")).cast("double").as("min_id"),
-      max(col("id")).cast("double").as("max_id"),
-      countDistinct(col("id")).cast("double").as("distinct_ids"))
-    val ids = df.select(col("id"))
-    Oracle.assertEquivalent(
-      stats,
-      "SELECT CAST(count(*) AS DOUBLE) AS n, CAST(min(CAST(id AS BIGINT)) AS DOUBLE) AS min_id, " +
-        "CAST(max(CAST(id AS BIGINT)) AS DOUBLE) AS max_id, " +
-        "CAST(count(DISTINCT id) AS DOUBLE) AS distinct_ids FROM ids",
-      "ids" -> ids)
-  }
-
-  test("provided TPC-H-lite generators still work at tiny SF") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    assert(li.count() > 0)
-    assert(li.columns.contains("l_orderkey"))
   }
 }

@@ -106,26 +106,4 @@ class GraphPartitionerSpec extends AnyFunSuite {
     val b = GraphPartitioner.partitionMultilevel(adj, 4, seed = 5)
     assert(a.sameElements(b))
   }
-
-  test("recursive bisection needs a power-of-two bin count and stays balanced") {
-    val data = SynthData.gaussianMixture(300, 4, 4, seed = 79)
-    val adj = GraphPartitioner.symmetrize(localKnn(data, 6))
-    intercept[IllegalArgumentException](GraphPartitioner.partitionRecursive(adj, 6))
-    val bins = GraphPartitioner.partitionRecursive(adj, 8, seed = 6)
-    assert(bins.forall(b => b >= 0 && b < 8))
-    val sizes = Array.fill(8)(0)
-    bins.foreach(sizes(_) += 1)
-    assert(sizes.max <= math.ceil(300.0 / 8 * math.pow(1.05, 3)).toInt + 3)
-  }
-
-  test("partitionWithInit enforces the cap on an imbalanced initial assignment") {
-    val data = SynthData.gaussianMixture(200, 3, 2, seed = 80)
-    val adj = GraphPartitioner.symmetrize(localKnn(data, 5))
-    val initial = Array.fill(200)(0) // everything in bin 0 of 4
-    val bins = GraphPartitioner.partitionWithInit(adj, 4, initial, eps = 0.05, seed = 7)
-    val cap = math.ceil(1.05 * 200.0 / 4).toInt
-    val sizes = Array.fill(4)(0)
-    bins.foreach(sizes(_) += 1)
-    assert(sizes.forall(_ <= cap), s"sizes ${sizes.toSeq} exceed cap $cap")
-  }
 }

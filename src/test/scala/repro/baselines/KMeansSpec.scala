@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{KnnMatrix, PartitionIndex}
 
@@ -55,7 +54,6 @@ class KMeansSpec extends SparkSpec {
   test("k-means index: every point lands in its nearest centroid's bin (oracle-checked)") {
     val km = KMeansPartitioner.fitLocal(blobs, 3, seed = 5)
     val index = PartitionIndex.build(km, blobs, spark)
-    val df = index.assignmentDF(spark)
     import spark.implicits._
     // point table + centroid table with scalar coordinates for DuckDB
     val pts = spark.sparkContext.parallelize(
@@ -64,7 +62,8 @@ class KMeansSpec extends SparkSpec {
     val cents = spark.sparkContext.parallelize(
       km.centroids.toIndexedSeq.zipWithIndex.map { case (c, b) => (b, c(0), c(1)) })
       .toDF("bin", "cx", "cy")
-    val got = df.select(col("id").cast("double").as("id"), col("bin").cast("double").as("bin"))
+    val got = index.assignments.toIndexedSeq.zipWithIndex
+      .map { case (b, i) => (i.toDouble, b.toDouble) }.toDF("id", "bin")
     Oracle.assertEquivalent(
       got,
       """

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
 
 class KnnMatrixSpec extends SparkSpec {
@@ -59,16 +58,16 @@ class KnnMatrixSpec extends SparkSpec {
     intercept[IllegalArgumentException](KnnMatrix.selfKnn(spark, data, 5))
   }
 
-  test("knnMatrixDF agrees with a DuckDB SQL cross-join + window computation") {
+  test("selfKnn agrees with a DuckDB SQL cross-join + window computation") {
     // small d so we can spread coordinates into scalar columns for the oracle
     val data = SynthData.gaussianMixture(40, 2, 3, seed = 13)
     val k = 3
-    val knnDF = KnnMatrix.knnMatrixDF(spark, data, k)
-    // flatten to (id, rank, nid) for scalar comparison
-    val flat = knnDF.select(col("id"), posexplode(col("neighbors")).as(Seq("rank", "nid")))
-      .select(col("id").cast("double").as("id"), col("rank").cast("double").as("rank"),
-              col("nid").cast("double").as("nid"))
+    val knn = KnnMatrix.selfKnn(spark, data, k)
     import spark.implicits._
+    // flatten to (id, rank, nid) for scalar comparison
+    val flat = knn.toIndexedSeq.zipWithIndex
+      .flatMap { case (nb, i) => nb.indices.map(r => (i.toDouble, r.toDouble, nb(r).toDouble)) }
+      .toDF("id", "rank", "nid")
     val pts = spark.sparkContext
       .parallelize(data.toIndexedSeq.zipWithIndex.map { case (v, i) => (i.toLong, v(0), v(1)) })
       .toDF("id", "x", "y")

@@ -10,11 +10,6 @@ class ParamCountSpec extends AnyFunSuite {
     assert(ParamCount.mlp(128, 64, 16) == net.paramCount)
   }
 
-  test("mlp count without batch norm") {
-    val net = Net.mlp(32, 16, 8, seed = 1, batchNorm = false)
-    assert(ParamCount.mlp(32, 16, 8, batchNorm = false) == net.paramCount)
-  }
-
   test("kmeans count is m*d") {
     assert(ParamCount.kmeans(128, 256) == 32768L)
   }

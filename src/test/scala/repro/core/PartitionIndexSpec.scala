@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
 
 /** Simple fixed partitioner for testing the index mechanics in isolation:
@@ -25,6 +24,8 @@ class PartitionIndexSpec extends SparkSpec {
 
   private lazy val data = SynthData.gaussianMixture(300, 4, 4, seed = 31)
   private lazy val index = PartitionIndex.build(new QuadrantPartitioner, data)
+  private lazy val model = UspTrainer.train(data, KnnMatrix.selfKnn(spark, data, 5),
+    UspConfig(m = 4, epochs = 8, batchSize = 64, hidden = 16, seed = 34))
 
   test("lookup table covers every point exactly once") {
     assert(index.lookup.map(_.length).sum == data.length)
@@ -43,6 +44,11 @@ class PartitionIndexSpec extends SparkSpec {
   test("Spark-side build gives identical assignments to driver-side build") {
     val sparkIdx = PartitionIndex.build(new QuadrantPartitioner, data, spark)
     assert(sparkIdx.assignments.sameElements(index.assignments))
+    // a trained model: local[*] task threads share one broadcast Net
+    val mp = new ModelPartitioner(model.net, 4)
+    val sparkModelIdx = PartitionIndex.build(mp, data, spark)
+    assert(sparkModelIdx.assignments.sameElements(PartitionIndex.build(mp, data).assignments))
+    assert(sparkModelIdx.assignments.sameElements(model.assignments))
   }
 
   test("candidates grow monotonically with probe depth and end at the full dataset") {
@@ -79,25 +85,21 @@ class PartitionIndexSpec extends SparkSpec {
     assert(got == want)
   }
 
-  test("assignmentDF bin histogram matches the driver lookup table (oracle-checked)") {
-    val df = index.assignmentDF(spark)
-    val hist = df.groupBy(col("bin")).agg(count(lit(1)).as("cnt"))
-      .select(col("bin").cast("double").as("bin"), col("cnt").cast("double").as("cnt"))
+  test("Spark-built assignments and binSizes match a DuckDB histogram") {
+    val sparkIdx = PartitionIndex.build(new QuadrantPartitioner, data, spark)
+    import spark.implicits._
+    val asg = sparkIdx.assignments.toIndexedSeq.zipWithIndex
+      .map { case (b, i) => (i.toLong, b) }.toDF("id", "bin")
+    // empty bins have no GROUP BY row on the SQL side
+    val hist = sparkIdx.binSizes.toIndexedSeq.zipWithIndex.filter(_._1 > 0)
+      .map { case (c, b) => (b.toDouble, c.toDouble) }.toDF("bin", "cnt")
     Oracle.assertEquivalent(
       hist,
       "SELECT CAST(bin AS DOUBLE) AS bin, CAST(count(*) AS DOUBLE) AS cnt FROM asg GROUP BY bin",
-      "asg" -> df)
-    // and the driver-side sizes agree with the DataFrame counts
-    val counts = df.groupBy("bin").count().collect()
-      .map(r => r.getInt(0) -> r.getLong(1)).toMap
-    for (b <- 0 until 4)
-      assert(counts.getOrElse(b, 0L) == index.binSizes(b))
+      "asg" -> asg)
   }
 
   test("ModelPartitioner assign equals argmax of its probs and heads probeOrder") {
-    val knn = KnnMatrix.selfKnn(spark, data, 5)
-    val model = UspTrainer.train(data, knn,
-      UspConfig(m = 4, epochs = 8, batchSize = 64, hidden = 16, seed = 34))
     val mp = new ModelPartitioner(model.net, 4)
     for (i <- Seq(1, 42, 137)) {
       val p = mp.probs(data(i))

@@ -37,14 +37,6 @@ class TrainerVariantsSpec extends SparkSpec {
     assert(pe > 0.7 && pa > 0.7, s"exact=$pe amortized=$pa")
   }
 
-  test("soft targets train and produce a valid multi-bin partition") {
-    val cfg = UspConfig(m = 4, kPrime = 8, eta = 6.0, epochs = 30, batchSize = 128,
-      lr = 3e-3, hidden = 32, seed = 3, softTargets = true)
-    val model = UspTrainer.train(data, knn, cfg)
-    assert(model.assignments.forall(b => b >= 0 && b < 4))
-    assert(model.assignments.distinct.length >= 2)
-  }
-
   test("mlp2 gradient check (CE loss, finite differences)") {
     val net = Net.mlp2(4, 6, 3, seed = 5, dropout = 0.0)
     val rng = new java.util.Random(6)

@@ -88,12 +88,17 @@ class UspTrainerSpec extends SparkSpec {
     assert(cutOf(weighted, 0 until 150) <= cutOf(uniform, 0 until 150) + 0.05)
   }
 
-  test("queryProbs returns a distribution per query") {
-    val cfg = UspConfig(m = 4, epochs = 5, batchSize = 128, hidden = 16, seed = 9)
-    val model = UspTrainer.train(data, knn, cfg)
-    val queries = SynthData.gaussianMixture(10, 8, 4, seed = 22)
-    val probs = UspTrainer.queryProbs(model.net, queries)
-    assert(probs.rows == 10 && probs.cols == 4)
-    probs.rowSum.foreach(s => assert(math.abs(s - 1.0) < 1e-9))
+  test("a NaN coordinate makes training fail loudly, not collapse to one bin") {
+    val small = SynthData.gaussianMixture(200, 4, 3, seed = 23)
+    val smallKnn = KnnMatrix.selfKnn(spark, small, 5)
+    val poisoned = small.map(_.clone())
+    poisoned(17)(2) = Double.NaN
+    // hidden=0: the logits go NaN, so the loss does; hidden=8: ReLU zeroes the
+    // NaNs of the poisoned BatchNorm, so only the weights show it
+    for (hidden <- Seq(0, 8)) {
+      val cfg = UspConfig(m = 4, epochs = 3, batchSize = 50, hidden = hidden, seed = 4)
+      val e = intercept[IllegalStateException](UspTrainer.train(poisoned, smallKnn, cfg))
+      assert(e.getMessage.contains("epoch 1 of 3"), e.getMessage)
+    }
   }
 }

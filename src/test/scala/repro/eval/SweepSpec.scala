@@ -1,6 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{CandidateIndex, KnnMatrix, PartitionIndex, SpacePartitioner}
 
@@ -73,45 +72,24 @@ class SweepSpec extends SparkSpec {
     assert(Sweep.candidateSizeAtAccuracy(pts, 0.9).get == 100.0)
   }
 
-  test("sparkEval matches the driver-side sweep on candidate sizes and hits") {
+  test("Sweep.run at m'=2 agrees with a DuckDB SQL formulation (oracle-checked)") {
     import spark.implicits._
     val probe = 2
-    val assignDF = index.assignmentDF(spark)
-    val queryBins = spark.sparkContext.parallelize(
-      queries.toIndexedSeq.zipWithIndex.map { case (q, qi) =>
-        (qi.toLong, index.partitioner.probeOrder(q).take(probe).toSeq)
-      }).toDF("qid", "bins")
-    val gtDF = spark.sparkContext.parallelize(
-      gt.toIndexedSeq.zipWithIndex.map { case (g, qi) => (qi.toLong, g.toSeq.map(_.toLong)) }
-    ).toDF("qid", "neighbors")
-    val res = Sweep.sparkEval(spark, assignDF, queryBins, gtDF).collect()
-      .map(r => r.getLong(0) -> (r.getLong(1), r.getLong(2))).toMap
-    // driver-side reference
-    for (qi <- queries.indices) {
-      val cand = index.candidates(queries(qi), probe)
-      val hits = gt(qi).count(cand.contains)
-      assert(res(qi.toLong)._1 == cand.length, s"cand size mismatch for query $qi")
-      assert(res(qi.toLong)._2 == hits, s"hits mismatch for query $qi")
+    // one single-query sweep per query: avgCand is its |C|, accuracy·k its hits
+    val perQuery = queries.indices.map { qi =>
+      val pt = Sweep.run(index, data.length, Array(queries(qi)), Array(gt(qi)), Seq(probe)).head
+      (qi.toDouble, pt.avgCand, pt.accuracy * gt(qi).length)
     }
-  }
-
-  test("sparkEval agrees with a DuckDB SQL formulation (oracle-checked)") {
-    import spark.implicits._
-    val assignDF = index.assignmentDF(spark)
-    val queryBins = spark.sparkContext.parallelize(
-      queries.toIndexedSeq.zipWithIndex.map { case (q, qi) =>
-        (qi.toLong, index.partitioner.probeOrder(q).take(2).toSeq)
-      }).toDF("qid", "bins")
-    val gtDF = spark.sparkContext.parallelize(
-      gt.toIndexedSeq.zipWithIndex.map { case (g, qi) => (qi.toLong, g.toSeq.map(_.toLong)) }
-    ).toDF("qid", "neighbors")
-    val res = Sweep.sparkEval(spark, assignDF, queryBins, gtDF)
-      .select(col("qid").cast("double").as("qid"),
-              col("cand_size").cast("double").as("cand_size"),
-              col("hits").cast("double").as("hits"))
+    val res = perQuery.toDF("qid", "cand_size", "hits")
     // scalar views for DuckDB
-    val probedFlat = queryBins.select(col("qid"), explode(col("bins")).as("bin"))
-    val gtFlat = gtDF.select(col("qid"), explode(col("neighbors")).as("nid"))
+    val probedFlat = queries.toIndexedSeq.zipWithIndex.flatMap { case (q, qi) =>
+      index.partitioner.probeOrder(q).take(probe).map(b => (qi.toLong, b))
+    }.toDF("qid", "bin")
+    val assignDF = index.assignments.toIndexedSeq.zipWithIndex
+      .map { case (b, i) => (i.toLong, b) }.toDF("id", "bin")
+    val gtFlat = gt.toIndexedSeq.zipWithIndex.flatMap { case (g, qi) =>
+      g.toSeq.map(nid => (qi.toLong, nid.toLong))
+    }.toDF("qid", "nid")
     Oracle.assertEquivalent(
       res,
       """
@@ -131,5 +109,9 @@ class SweepSpec extends SparkSpec {
         |FROM cs LEFT JOIN h ON cs.qid = h.qid
         |""".stripMargin,
       "probed" -> probedFlat, "asg" -> assignDF, "gt" -> gtFlat)
+    // and the per-query rows add up to the sweep over all queries
+    val whole = Sweep.run(index, data.length, queries, gt, Seq(probe)).head
+    assert(math.abs(whole.avgCand - perQuery.map(_._2).sum / queries.length) < 1e-9)
+    assert(math.abs(whole.accuracy - perQuery.map(_._3).sum / gt.map(_.length).sum) < 1e-9)
   }
 }
