@@ -12,7 +12,7 @@ import repro.eval.Tables
   */
 object JobSpark {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", "64")

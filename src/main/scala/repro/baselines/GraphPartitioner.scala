@@ -8,12 +8,13 @@ import repro.Rng.shuffle
   * The paper's Neural LSH uses KaHIP [40] (a closed-source-built C++
   * multilevel partitioner) to produce balanced, low-cut partitions of the
   * k-NN graph that then serve as supervised labels. We build an equivalent:
-  * greedy weighted-degree growth (LDG-style: each node goes to the bin
-  * holding most of its neighbors, damped by a capacity penalty) followed by
-  * Kernighan–Lin-style move refinement under the same (1+ε) balance
-  * constraint. At our dataset scales this reaches comparable edge cuts; the
-  * downstream Neural LSH behaviour (classify points into the given bins)
-  * only depends on the labels being balanced and locality-preserving.
+  * balanced multi-source BFS region growth followed by Kernighan–Lin-style
+  * move refinement under the same (1+ε) balance constraint, one weighted
+  * implementation of each that the flat partition runs at unit weights and
+  * the multilevel partition runs on every coarsened graph. At our dataset
+  * scales this reaches comparable edge cuts; the downstream Neural LSH
+  * behaviour (classify points into the given bins) only depends on the
+  * labels being balanced and locality-preserving.
   */
 object GraphPartitioner {
 
@@ -29,28 +30,16 @@ object GraphPartitioner {
     sets.map(_.toArray)
   }
 
-  /** Partition the graph into `m` bins with max size ⌈(1+eps)·n/m⌉. */
+  /** Partition the graph into `m` bins with max size ⌈(1+eps)·n/m⌉: region
+    * growth from farthest-point seeds and refinement, at unit weights.
+    */
   def partition(adj: Array[Array[Int]], m: Int, eps: Double = 0.05,
                 seed: Long = 1, refinePasses: Int = 8): Array[Int] = {
     val n = adj.length
     val cap = math.ceil((1 + eps) * n / m).toInt
     val rng = new Random(seed)
-    val bin = Array.fill(n)(-1)
-    val size = new Array[Int](m)
-
-    // Multi-source BFS region growth: each bin grows a contiguous region
-    // from a random seed; the smallest growable bin extends next, which
-    // keeps regions balanced AND spatially coherent (random-order greedy
-    // fragments space, which both hurts the cut and makes the labels
-    // unlearnable for the downstream classifier).
-    val frontiers = Array.fill(m)(scala.collection.mutable.Queue.empty[Int])
     val order = Array.tabulate(n)(identity)
     shuffle(order, rng)
-    var seedPtr = 0
-    def nextUnassigned(): Int = {
-      while (seedPtr < n && bin(order(seedPtr)) >= 0) seedPtr += 1
-      if (seedPtr < n) order(seedPtr) else -1
-    }
     // Farthest-point seeding in graph distance (k-means++ analogue): each
     // new seed maximises its BFS distance to all previous seeds, spreading
     // the regions over the graph before growth starts.
@@ -79,75 +68,18 @@ object GraphPartitioner {
       seeds(b) = best
       bfsUpdate(best)
     }
-    for (b <- 0 until m) {
-      val s = if (bin(seeds(b)) == -1) seeds(b) else nextUnassigned()
-      if (s >= 0) { bin(s) = b; size(b) += 1; frontiers(b) ++= adj(s) }
-    }
-    var assigned = size.sum
-    while (assigned < n) {
-      // smallest bin (under cap) with a growable frontier
-      var b = -1
-      for (c <- 0 until m)
-        if (size(c) < cap && (b == -1 || size(c) < size(b))) b = c
-      if (b == -1) b = (0 until m).minBy(size(_)) // all at cap: overflow smallest
-      var v = -1
-      val q = frontiers(b)
-      while (v == -1 && q.nonEmpty) {
-        val cand = q.dequeue()
-        if (bin(cand) == -1) v = cand
-      }
-      if (v == -1) v = nextUnassigned() // frontier exhausted: new seed
-      if (v == -1) assigned = n // defensive: nothing left
-      else {
-        bin(v) = b; size(b) += 1; assigned += 1
-        frontiers(b) ++= adj(v).filter(bin(_) == -1)
-      }
-    }
-    refine(adj, bin, size, m, cap, rng, refinePasses)
+    val wts = adj.map(a => Array.fill(a.length)(1.0))
+    val nodeW = Array.fill(n)(1)
+    val bin = growWeighted(adj, nodeW, m, cap, order, seeds)
+    refineWeighted(adj, wts, nodeW, bin, m, cap, rng, refinePasses)
     bin
-  }
-
-  /** KL-style refinement: move a node to the bin with the best cut gain if
-    * capacity allows; sweep until no improving move or pass budget spent.
-    */
-  private def refine(adj: Array[Array[Int]], bin: Array[Int], size: Array[Int],
-                     m: Int, cap: Int, rng: Random, refinePasses: Int): Unit = {
-    val n = adj.length
-    val order = Array.tabulate(n)(identity)
-    val nbCount = new Array[Int](m)
-    var pass = 0
-    var moved = true
-    while (moved && pass < refinePasses) {
-      moved = false
-      shuffle(order, rng)
-      order.foreach { v =>
-        java.util.Arrays.fill(nbCount, 0)
-        adj(v).foreach(u => nbCount(bin(u)) += 1)
-        val cur = bin(v)
-        var best = cur
-        var bestGain = 0
-        var b = 0
-        while (b < m) {
-          if (b != cur && size(b) < cap) {
-            val gain = nbCount(b) - nbCount(cur)
-            if (gain > bestGain) { bestGain = gain; best = b }
-          }
-          b += 1
-        }
-        if (best != cur) {
-          size(cur) -= 1; size(best) += 1; bin(v) = best
-          moved = true
-        }
-      }
-      pass += 1
-    }
   }
 
   /** Multilevel partitioning (Metis/KaHIP-lite): coarsen by heavy-edge
     * matching until the graph is small, partition the coarsest graph by
     * weighted region growth, then uncoarsen with weighted KL refinement at
     * every level. This is the algorithmic core that makes KaHIP's cuts good;
-    * the flat heuristics above plateau on large locally-dense kNN graphs.
+    * the flat partition above plateaus on large locally-dense kNN graphs.
     */
   def partitionMultilevel(adj: Array[Array[Int]], m: Int, eps: Double = 0.05,
                           seed: Long = 1, refinePasses: Int = 10): Array[Int] = {
@@ -214,8 +146,11 @@ object GraphPartitioner {
     }
 
     val cap = math.ceil((1 + eps) * totalW.toDouble / m).toInt
-    // initial partition of the coarsest graph: weighted region growth
-    var bin = growWeighted(nbrs, wts, nodeW, m, cap, rng)
+    // initial partition of the coarsest graph: weighted region growth from
+    // the first m nodes of a random order
+    val order = Array.tabulate(nbrs.length)(identity)
+    shuffle(order, rng)
+    var bin = growWeighted(nbrs, nodeW, m, cap, order, order.take(m))
     refineWeighted(nbrs, wts, nodeW, bin, m, cap, rng, refinePasses * 2)
 
     // uncoarsen, refining at each level
@@ -227,21 +162,27 @@ object GraphPartitioner {
     bin
   }
 
-  private def growWeighted(nbrs: Array[Array[Int]], wts: Array[Array[Double]],
-                           nodeW: Array[Int], m: Int, cap: Int, rng: Random): Array[Int] = {
+  /** Multi-source BFS region growth: each bin grows a contiguous region from
+    * its seed (`seeds(b)`, or the next unassigned node of `order` if that
+    * seed is taken); the smallest growable bin extends next, which keeps
+    * regions balanced AND spatially coherent (random-order greedy fragments
+    * space, which both hurts the cut and makes the labels unlearnable for the
+    * downstream classifier). A bin whose frontier runs dry restarts from the
+    * next unassigned node of `order`.
+    */
+  private def growWeighted(nbrs: Array[Array[Int]], nodeW: Array[Int], m: Int, cap: Int,
+                           order: Array[Int], seeds: Array[Int]): Array[Int] = {
     val n = nbrs.length
     val bin = Array.fill(n)(-1)
     val size = new Array[Int](m)
-    val order = Array.tabulate(n)(identity)
-    shuffle(order, rng)
     val frontiers = Array.fill(m)(scala.collection.mutable.Queue.empty[Int])
     var seedPtr = 0
     def nextUnassigned(): Int = {
       while (seedPtr < n && bin(order(seedPtr)) >= 0) seedPtr += 1
       if (seedPtr < n) order(seedPtr) else -1
     }
-    for (b <- 0 until m) {
-      val s = nextUnassigned()
+    for (b <- seeds.indices) {
+      val s = if (bin(seeds(b)) == -1) seeds(b) else nextUnassigned()
       if (s >= 0) { bin(s) = b; size(b) += nodeW(s); frontiers(b) ++= nbrs(s) }
     }
     var assignedNodes = bin.count(_ >= 0)

@@ -5,17 +5,15 @@ import java.util.Random
 import repro.core.{KnnMatrix, SpacePartitioner}
 
 /** Lloyd's K-means — the ubiquitous partitioning baseline (IVF / quantizer
-  * cells). Multiprobe ranks bins by ascending centroid distance, the
-  * standard inverted-file probe order.
+  * cells). A bin's score is minus the squared centroid distance, so
+  * multiprobe follows the standard inverted-file probe order (nearest
+  * centroid first) and a point is assigned to its nearest centroid.
   */
 final class KMeansPartitioner(val centroids: Array[Array[Double]]) extends SpacePartitioner {
   override val numBins: Int = centroids.length
 
-  override def assign(v: Array[Double]): Int = KMeansPartitioner.nearest(centroids, v)
-
-  override def probeOrder(q: Array[Double]): Array[Int] =
-    Array.tabulate(numBins)(identity)
-      .sortBy(c => KnnMatrix.sqDist(centroids(c), q))
+  override def binScores(q: Array[Double]): Array[Double] =
+    centroids.map(c => -KnnMatrix.sqDist(c, q))
 }
 
 object KMeansPartitioner {
@@ -130,7 +128,7 @@ object KMeansPartitioner {
         total += d2(i)
         i += 1
       }
-      var r = rng.nextDouble() * total
+      val r = rng.nextDouble() * total
       var pick = 0
       i = 0
       var acc = 0.0

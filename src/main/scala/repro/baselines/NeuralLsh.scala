@@ -129,27 +129,11 @@ final class CrossPolytopeLsh(d: Int, val numBins: Int, seed: Long) extends Space
     rows
   }
 
-  private def project(v: Array[Double]): Array[Double] =
-    Array.tabulate(half) { i =>
-      var s = 0.0
-      var t = 0
-      while (t < v.length) { s += rot(i)(t) * v(t); t += 1 }
-      s
-    }
-
-  override def assign(v: Array[Double]): Int = {
-    val y = project(v)
-    var best = 0
-    var bv = math.abs(y(0))
-    var i = 1
-    while (i < half) { if (math.abs(y(i)) > bv) { bv = math.abs(y(i)); best = i }; i += 1 }
-    2 * best + (if (y(best) >= 0) 0 else 1)
-  }
-
-  override def probeOrder(q: Array[Double]): Array[Int] = {
-    val y = project(q)
-    // score of vertex (i,+) is y_i, of (i,−) is −y_i
-    Array.tabulate(numBins)(identity)
-      .sortBy { b => val i = b / 2; -(if (b % 2 == 0) y(i) else -y(i)) }
+  /** Vertex (i,+) scores y_i and vertex (i,−) scores −y_i, so the best
+    * vertex is the one closest to the rotated point.
+    */
+  override def binScores(q: Array[Double]): Array[Double] = {
+    val y = rot.map(BspTree.dot(_, q))
+    Array.tabulate(numBins)(b => if (b % 2 == 0) y(b / 2) else -y(b / 2))
   }
 }

@@ -15,9 +15,10 @@ final case class BspLeaf(bin: Int) extends BspNode
 final case class BspSplit(w: Array[Double], t: Double, scale: Double,
                           left: BspNode, right: BspNode) extends BspNode
 
-/** A built tree. `probeOrder` ranks leaves by the product of per-node
-  * sigmoid margins — the soft version of the hard descent, which is how
-  * multiprobe works for every hyperplane method here.
+/** A built tree. A leaf's score is the log of the product of per-node
+  * sigmoid margins on its path — the soft version of the hard descent that
+  * `assign` does, which is how multiprobe works for every hyperplane method
+  * here.
   */
 final class BspTree(val root: BspNode, val numBins: Int) extends SpacePartitioner {
 
@@ -33,7 +34,7 @@ final class BspTree(val root: BspNode, val numBins: Int) extends SpacePartitione
     -1 // unreachable
   }
 
-  override def probeOrder(q: Array[Double]): Array[Int] = {
+  override def binScores(q: Array[Double]): Array[Double] = {
     val scores = new Array[Double](numBins)
     java.util.Arrays.fill(scores, Double.NegativeInfinity)
     def walk(node: BspNode, logp: Double): Unit = node match {
@@ -45,7 +46,7 @@ final class BspTree(val root: BspNode, val numBins: Int) extends SpacePartitione
         walk(l, logp + math.log(1 - pr + 1e-12))
     }
     walk(root, 0.0)
-    Array.tabulate(numBins)(identity).sortBy(b => -scores(b))
+    scores
   }
 }
 

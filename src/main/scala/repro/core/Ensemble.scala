@@ -78,45 +78,40 @@ object Ensemble {
   * "which model actually knows this region" semantics Algorithm 4 intends.
   */
 final class EnsembleIndex(trained: Ensemble.Trained,
-                          calibrationData: Array[Array[Double]] = null) extends CandidateIndex {
+                          calibrationData: Array[Array[Double]]) extends CandidateIndex {
   private val parts = trained.indexes
-  private val partitioners = parts.map(_.partitioner.asInstanceOf[ModelPartitioner])
   private val m = parts.head.partitioner.numBins
 
   /** conf(model, q, m'): the total probability the model puts on the m'
-    * bins it would probe. At m'=1 this is Algorithm 4 verbatim (the model's
-    * highest probability); deeper into the sweep it is strictly more
-    * informative.
+    * bins it would probe, from its ascending-sorted score row. At m'=1 this
+    * is Algorithm 4 verbatim (the model's highest probability); deeper into
+    * the sweep it is strictly more informative.
     */
-  private def rawConf(j: Int, q: Array[Double], mProbe: Int): Double =
-    partitioners(j).probs(q).sorted.takeRight(math.min(mProbe, m)).sum
+  private def rawConf(sortedScores: Array[Double], mProbe: Int): Double =
+    sortedScores.takeRight(mProbe).sum
 
   // per-(model, probe-depth) calibration over a data sample
-  private val calib: Array[Array[Double]] =
-    if (calibrationData == null) Array.fill(parts.length)(Array.fill(m + 1)(1.0))
-    else {
-      val sample = calibrationData.take(500)
-      Array.tabulate(parts.length) { j =>
-        val c = new Array[Double](m + 1)
-        for (p <- 1 to m)
-          c(p) = sample.map(v => rawConf(j, v, p)).sum / sample.length
-        c(0) = 1.0
-        c
-      }
+  private val calib: Array[Array[Double]] = {
+    val sample = calibrationData.take(500)
+    Array.tabulate(parts.length) { j =>
+      val sorted = sample.map(v => parts(j).partitioner.binScores(v).sorted)
+      Array.tabulate(m + 1)(p => sorted.map(rawConf(_, p)).sum / sample.length)
     }
+  }
 
   override def maxProbe: Int = m
 
   override def candidates(q: Array[Double], mProbe: Int): Array[Int] = {
     val p = math.min(math.max(mProbe, 1), m)
+    val scores = parts.map(_.partitioner.binScores(q))
     var best = 0
     var bestConf = Double.NegativeInfinity
     var j = 0
     while (j < parts.length) {
-      val conf = rawConf(j, q, p) / calib(j)(p)
+      val conf = rawConf(scores(j).sorted, p) / calib(j)(p)
       if (conf > bestConf) { bestConf = conf; best = j }
       j += 1
     }
-    parts(best).candidates(q, mProbe)
+    parts(best).gather(SpacePartitioner.rank(scores(best)), mProbe)
   }
 }

@@ -1,8 +1,5 @@
 package repro.core
 
-import repro.nn.Net
-import repro.linalg.Mat
-
 /** Hierarchical partitioning (§4.4.2): a root model splits the dataset into
   * m1 bins; a leaf model per root bin splits its subset into m2 bins, for
   * m1·m2 total. A query's final bin probability is the product of the
@@ -37,7 +34,7 @@ object Hierarchical {
         // Degenerate bin: too few points to subdivide; a fresh (untrained)
         // model still yields a valid (arbitrary) m2-way split of <=m2 points.
         val net = UspTrainer.defaultNet(data(0).length, leafCfgBase.copy(seed = rootCfg.seed + b))
-        val asg = subset.map(v => net.predictProbs(Mat.fromRows(Seq(v))).argmaxRows(0))
+        val asg = subset.map(new ModelPartitioner(net, m2).assign)
         leaves(b) = UspModel(net, asg, Array.empty, leafCfgBase)
       } else {
         val localK = localKnn(subset, rootCfg.kPrime)
@@ -47,40 +44,29 @@ object Hierarchical {
       }
       b += 1
     }
-    val part = new HierPartitioner(root.net, leaves.map(_.net), m1, m2)
+    val part = new HierPartitioner(new ModelPartitioner(root.net, m1),
+                                   leaves.map(l => new ModelPartitioner(l.net, m2)))
     Trained(root, leaves, m1, m2, part)
   }
 }
 
 /** The combined m1·m2-way partitioner: bin id = rootBin * m2 + leafBin. */
-final class HierPartitioner(rootNet: Net, leafNets: Array[Net],
-                            m1: Int, m2: Int) extends SpacePartitioner {
-  override val numBins: Int = m1 * m2
+final class HierPartitioner(root: ModelPartitioner, leaves: Array[ModelPartitioner])
+    extends SpacePartitioner {
+  private val m2 = leaves.head.numBins
+  override val numBins: Int = root.numBins * m2
 
+  /** Root argmax, then that root bin's leaf argmax: the split each leaf was
+    * trained on (the argmax of the combined scores can differ).
+    */
   override def assign(v: Array[Double]): Int = {
-    val x = Mat.fromRows(Seq(v))
-    val rb = rootNet.predictProbs(x).argmaxRows(0)
-    val lb = leafNets(rb).predictProbs(x).argmaxRows(0)
-    rb * m2 + lb
+    val rb = root.assign(v)
+    rb * m2 + leaves(rb).assign(v)
   }
 
-  /** Combined probabilities p[j*m2+t] = rootP[j] · leafP_j[t], ranked. */
-  def combinedProbs(q: Array[Double]): Array[Double] = {
-    val x = Mat.fromRows(Seq(q))
-    val rp = rootNet.predictProbs(x).row(0)
-    val out = new Array[Double](numBins)
-    var j = 0
-    while (j < m1) {
-      val lp = leafNets(j).predictProbs(x).row(0)
-      var t = 0
-      while (t < m2) { out(j * m2 + t) = rp(j) * lp(t); t += 1 }
-      j += 1
-    }
-    out
-  }
-
-  override def probeOrder(q: Array[Double]): Array[Int] = {
-    val p = combinedProbs(q)
-    Array.tabulate(numBins)(identity).sortBy(j => -p(j))
+  /** Combined probabilities p[j*m2+t] = rootP[j] · leafP_j[t]. */
+  override def binScores(q: Array[Double]): Array[Double] = {
+    val rp = root.binScores(q)
+    rp.indices.toArray.flatMap(j => leaves(j).binScores(q).map(rp(j) * _))
   }
 }

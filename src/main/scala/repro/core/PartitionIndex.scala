@@ -7,16 +7,26 @@ import repro.nn.Net
 /** A space partitioning of R^d into `numBins` bins: the common contract for
   * the paper's method and every baseline (K-means, Neural LSH, LSH, trees).
   *
-  * `assign` places a dataset point into its bin (index build); `probeOrder`
-  * ranks bins most-probable-first for a query (online multiprobe, §4.3 —
-  * "instead of searching in just one bin, we use the probability
-  * distribution output by the model to search in the m' most probable
-  * bins").
+  * A partitioner supplies `binScores`, higher meaning more likely to hold
+  * the point's neighbours; it writes no field, so threads may share it. The
+  * online multiprobe (§4.3 — "instead of searching in just one bin, we use
+  * the probability distribution output by the model to search in the m'
+  * most probable bins") probes bins in descending score order.
   */
 trait SpacePartitioner extends Serializable {
   def numBins: Int
-  def assign(v: Array[Double]): Int
-  def probeOrder(q: Array[Double]): Array[Int]
+  def binScores(q: Array[Double]): Array[Double]
+
+  /** The bin a dataset point is indexed under: the first maximal score. */
+  def assign(v: Array[Double]): Int = new Mat(1, numBins, binScores(v)).argmaxRows(0)
+
+  final def probeOrder(q: Array[Double]): Array[Int] = SpacePartitioner.rank(binScores(q))
+}
+
+object SpacePartitioner {
+  /** Bin ids by descending score; a stable sort, so ties keep bin order. */
+  def rank(scores: Array[Double]): Array[Int] =
+    Array.tabulate(scores.length)(identity).sortBy(b => -scores(b))
 }
 
 /** Anything that can produce a candidate set for a query at probe depth m'.
@@ -48,8 +58,11 @@ final class PartitionIndex(val partitioner: SpacePartitioner,
 
   override def maxProbe: Int = partitioner.numBins
 
-  override def candidates(q: Array[Double], mProbe: Int): Array[Int] = {
-    val order = partitioner.probeOrder(q)
+  override def candidates(q: Array[Double], mProbe: Int): Array[Int] =
+    gather(partitioner.probeOrder(q), mProbe)
+
+  /** Ids in the first `mProbe` bins of a probe order. */
+  def gather(order: Array[Int], mProbe: Int): Array[Int] = {
     val out = new scala.collection.mutable.ArrayBuilder.ofInt
     var i = 0
     while (i < math.min(mProbe, order.length)) {
@@ -90,19 +103,10 @@ object PartitionIndex {
   }
 }
 
-/** USP model as a [[SpacePartitioner]]: bins ranked by the trained model's
-  * softmax output.
+/** USP model as a [[SpacePartitioner]]: a bin's score is the trained
+  * model's softmax probability for it.
   */
 final class ModelPartitioner(net: Net, val numBins: Int) extends SpacePartitioner {
-  override def assign(v: Array[Double]): Int =
-    net.predictProbs(Mat.fromRows(Seq(v))).argmaxRows(0)
-
-  override def probeOrder(q: Array[Double]): Array[Int] = {
-    val p = net.predictProbs(Mat.fromRows(Seq(q))).row(0)
-    Array.tabulate(numBins)(identity).sortBy(j => -p(j))
-  }
-
-  /** Full probability row for a query (used by the ensemble's confidence). */
-  def probs(q: Array[Double]): Array[Double] =
+  override def binScores(q: Array[Double]): Array[Double] =
     net.predictProbs(Mat.fromRows(Seq(q))).row(0)
 }

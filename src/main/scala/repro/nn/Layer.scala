@@ -15,10 +15,11 @@ object Param {
 
 /** One differentiable layer of the mini framework.
   *
-  * `forward` caches whatever `backward` needs; a layer instance is therefore
-  * NOT safe for concurrent batches (the training loop is sequential, matching
-  * the paper's single-GPU setup). `backward` receives dL/d(output) and must
-  * return dL/d(input) while accumulating dL/d(params) into `params.g`.
+  * A training `forward` caches whatever `backward` needs, so training is NOT
+  * safe for concurrent batches (the training loop is sequential, matching
+  * the paper's single-GPU setup). Inference (`training = false`) writes no
+  * field, so threads may share a layer for it. `backward` receives dL/d(output) and must return dL/d(input) while
+  * accumulating dL/d(params) into `params.g`.
   */
 trait Layer extends Serializable {
   def forward(x: Mat, training: Boolean): Mat
@@ -39,7 +40,7 @@ final class Linear(val in: Int, val out: Int, rng: Random) extends Layer {
   private var xCache: Mat = _
 
   override def forward(x: Mat, training: Boolean): Mat = {
-    xCache = x
+    if (training) xCache = x
     (x * w.v).addRowVector(b.v.a)
   }
 
@@ -56,21 +57,18 @@ final class Linear(val in: Int, val out: Int, rng: Random) extends Layer {
 
 /** Rectified linear unit. */
 final class ReLU extends Layer {
-  private var mask: Array[Boolean] = _
+  private var xCache: Mat = _
   override def forward(x: Mat, training: Boolean): Mat = {
-    mask = new Array[Boolean](x.a.length)
+    if (training) xCache = x
     val out = new Array[Double](x.a.length)
     var i = 0
-    while (i < x.a.length) {
-      if (x.a(i) > 0) { out(i) = x.a(i); mask(i) = true }
-      i += 1
-    }
+    while (i < x.a.length) { if (x.a(i) > 0) out(i) = x.a(i); i += 1 }
     new Mat(x.rows, x.cols, out)
   }
   override def backward(dOut: Mat): Mat = {
     val out = new Array[Double](dOut.a.length)
     var i = 0
-    while (i < out.length) { if (mask(i)) out(i) = dOut.a(i); i += 1 }
+    while (i < out.length) { if (xCache.a(i) > 0) out(i) = dOut.a(i); i += 1 }
     new Mat(dOut.rows, dOut.cols, out)
   }
   override def params: Seq[Param] = Nil
@@ -185,7 +183,8 @@ final class Dropout(p: Double, rng: Random) extends Layer {
   require(p >= 0 && p < 1)
   private var mask: Array[Double] = _
   override def forward(x: Mat, training: Boolean): Mat = {
-    if (!training || p == 0) { mask = null; x }
+    if (!training) x
+    else if (p == 0) { mask = null; x }
     else {
       val keep = 1.0 - p
       mask = new Array[Double](x.a.length)

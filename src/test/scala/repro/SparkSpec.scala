@@ -4,13 +4,14 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every test: one local-mode SparkSession for the whole run,
+  * shared by every suite (the k'-NN jobs, the Spark index build and
+  * k-means, and the DataFrames the DuckDB oracles compare).
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM. The master comes from SPARK_MASTER (default
+  * `local[*]`) and the shuffle partition count from
+  * SPARK_SHUFFLE_PARTITIONS (default 64). Broadcast joins are disabled.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -20,7 +21,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 import repro.core.{KnnMatrix, PartitionIndex}
 
 class KMeansSpec extends SparkSpec {

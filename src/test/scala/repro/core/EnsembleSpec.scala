@@ -43,7 +43,7 @@ class EnsembleSpec extends SparkSpec {
 
   test("ensemble candidate sets are valid dataset ids") {
     val trained = Ensemble.train(data, knn, cfg, e = 2)
-    val idx = new EnsembleIndex(trained)
+    val idx = new EnsembleIndex(trained, data)
     val q = SynthData.gaussianMixture(5, 6, 4, seed = 43)
     q.foreach { qv =>
       val c = idx.candidates(qv, 1)
@@ -66,6 +66,6 @@ class EnsembleSpec extends SparkSpec {
 
   test("ensemble index maxProbe equals the bin count") {
     val trained = Ensemble.train(data, knn, cfg.copy(epochs = 5), e = 2)
-    assert(new EnsembleIndex(trained).maxProbe == cfg.m)
+    assert(new EnsembleIndex(trained, data).maxProbe == cfg.m)
   }
 }

@@ -32,21 +32,22 @@ class HierarchicalSpec extends SparkSpec {
   }
 
   test("assign produces bins consistent with root*m2+leaf encoding") {
-    for (i <- Seq(0, 100, 599)) {
-      val bin = trained.partitioner.assign(data(i))
-      assert(bin >= 0 && bin < 16)
-      val rootBin = bin / 4
-      assert(rootBin == trained.root.assignments(i) ||
-        // root net inference can drift from the training-time assignment only
-        // if BN running stats changed; they don't after training, so require equality
-        rootBin == trained.root.assignments(i))
+    // leaf b was trained on root bin b's points in dataset order, so the
+    // r-th point of root bin b has leaf assignment leaves(b).assignments(r)
+    val rank = new Array[Int](4)
+    for (i <- data.indices) {
+      val rootBin = trained.root.assignments(i)
+      val leafBin = trained.leaves(rootBin).assignments(rank(rootBin))
+      rank(rootBin) += 1
+      assert(trained.partitioner.assign(data(i)) == rootBin * 4 + leafBin, s"point $i")
     }
+    assert(rank.toSeq == trained.leaves.map(_.assignments.length).toSeq)
   }
 
-  test("combinedProbs is a distribution over all leaf bins") {
+  test("binScores is a distribution over all leaf bins") {
     val q = SynthData.gaussianMixture(3, 6, 8, seed = 53)
     q.foreach { qv =>
-      val p = trained.partitioner.combinedProbs(qv)
+      val p = trained.partitioner.binScores(qv)
       assert(p.length == 16)
       assert(math.abs(p.sum - 1.0) < 1e-6, s"sum=${p.sum}")
       assert(p.forall(_ >= 0))
@@ -57,7 +58,7 @@ class HierarchicalSpec extends SparkSpec {
     val q = data(7)
     val order = trained.partitioner.probeOrder(q)
     assert(order.sorted.toSeq == (0 until 16).toSeq)
-    val p = trained.partitioner.combinedProbs(q)
+    val p = trained.partitioner.binScores(q)
     for (i <- 0 until 15)
       assert(p(order(i)) >= p(order(i + 1)) - 1e-12)
   }

@@ -10,14 +10,12 @@ private class QuadrantPartitioner extends SpacePartitioner {
   override val numBins = 4
   override def assign(v: Array[Double]): Int =
     (if (v(0) >= 0) 1 else 0) + 2 * (if (v(1) >= 0) 1 else 0)
-  override def probeOrder(q: Array[Double]): Array[Int] = {
-    val scores = Array.tabulate(4) { b =>
+  override def binScores(q: Array[Double]): Array[Double] =
+    Array.tabulate(4) { b =>
       val sx = if ((b & 1) == 1) 1.0 else -1.0
       val sy = if ((b & 2) == 2) 1.0 else -1.0
       sx * q(0) + sy * q(1)
     }
-    Array.tabulate(4)(identity).sortBy(b => -scores(b))
-  }
 }
 
 class PartitionIndexSpec extends SparkSpec {
@@ -102,11 +100,26 @@ class PartitionIndexSpec extends SparkSpec {
   test("ModelPartitioner assign equals argmax of its probs and heads probeOrder") {
     val mp = new ModelPartitioner(model.net, 4)
     for (i <- Seq(1, 42, 137)) {
-      val p = mp.probs(data(i))
+      val p = mp.binScores(data(i))
       assert(mp.assign(data(i)) == p.indexOf(p.max))
       assert(mp.probeOrder(data(i)).head == mp.assign(data(i)))
       assert(mp.probeOrder(data(i)).sorted.toSeq == Seq(0, 1, 2, 3))
     }
+  }
+
+  test("threads sharing one ModelPartitioner get the sequential results") {
+    val mp = new ModelPartitioner(model.net, 4)
+    val want = data.map(v => (mp.assign(v), mp.probeOrder(v).toSeq)).toSeq
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val jobs = (0 until 4).map { _ =>
+        pool.submit(new java.util.concurrent.Callable[Seq[(Int, Seq[Int])]] {
+          override def call(): Seq[(Int, Seq[Int])] =
+            data.map(v => (mp.assign(v), mp.probeOrder(v).toSeq)).toSeq
+        })
+      }
+      jobs.foreach(j => assert(j.get() == want))
+    } finally pool.shutdown()
   }
 
   test("index construction rejects out-of-range assignments") {

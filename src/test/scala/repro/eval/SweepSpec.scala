@@ -10,10 +10,8 @@ private class BucketPartitioner extends SpacePartitioner {
   override val numBins = 3
   override def assign(v: Array[Double]): Int =
     if (v(0) < -1) 0 else if (v(0) < 1) 1 else 2
-  override def probeOrder(q: Array[Double]): Array[Int] = {
-    val centers = Array(-2.0, 0.0, 2.0)
-    Array.tabulate(3)(identity).sortBy(b => math.abs(q(0) - centers(b)))
-  }
+  override def binScores(q: Array[Double]): Array[Double] =
+    Array(-2.0, 0.0, 2.0).map(c => -math.abs(q(0) - c))
 }
 
 class SweepSpec extends SparkSpec {

@@ -206,4 +206,17 @@ class LayerSpec extends AnyFunSuite {
     val acc = pred.zip(ys).count { case (a, b) => a == b }.toDouble / n
     assert(acc > 0.98, s"accuracy $acc")
   }
+
+  test("inference between a training forward and its backward leaves the gradients unchanged") {
+    // Net.mlp holds every layer kind that caches: Linear, BatchNorm, ReLU, Dropout
+    def grads(interleave: Boolean): Seq[Seq[Double]] = {
+      val net = Net.mlp(5, 8, 3, seed = 17)
+      val y = net.forward(randMat(6, 5, 18), training = true)
+      if (interleave) net.predictProbs(randMat(4, 5, 19))
+      net.zeroGrad()
+      net.backward(Mat(y.rows, y.cols)((i, j) => (i + 1) * 0.1 - j * 0.2))
+      net.params.map(_.g.a.toSeq)
+    }
+    assert(grads(interleave = true) == grads(interleave = false))
+  }
 }
