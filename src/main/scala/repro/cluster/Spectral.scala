@@ -16,7 +16,7 @@ object Spectral {
   def fit(data: Array[Array[Double]], k: Int, knnK: Int = 10, seed: Long = 3): Array[Int] = {
     val n = data.length
     // mutual-ish kNN affinity (symmetrized, unit weights)
-    val knn = Array.tabulate(n)(i => KnnMatrix.topK(data, data(i), knnK, i))
+    val knn = KnnMatrix.blockKnn(data, data, knnK, excludeSelf = true)
     val adj = Array.fill(n)(new scala.collection.mutable.TreeSet[Int])
     for (i <- 0 until n; j <- knn(i)) { adj(i) += j; adj(j) += i }
     val deg = adj.map(_.size.toDouble)

@@ -14,7 +14,7 @@ object Hierarchical {
   /** Exact k-NN inside a small subset, driver-side (leaf preprocessing). */
   def localKnn(subset: Array[Array[Double]], k: Int): Array[Array[Int]] = {
     val kk = math.max(1, math.min(k, subset.length - 1))
-    Array.tabulate(subset.length)(i => KnnMatrix.topK(subset, subset(i), kk, i))
+    KnnMatrix.blockKnn(subset, subset, kk, excludeSelf = true)
   }
 
   def train(data: Array[Array[Double]], knn: Array[Array[Int]],

@@ -94,6 +94,32 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
+  test("property: blockKnn equals topK row for row on tile edges, ties and external queries") {
+    val w = KnnMatrix.TileRows
+    val cases = for {
+      n <- Gen.oneOf(Gen.oneOf(1, w - 1, w, w + 1, 2 * w + 3), Gen.choose(1, 2 * w + 3))
+      d <- Gen.oneOf(Gen.oneOf(1, 33), Gen.choose(1, 40))
+      k <- Gen.choose(0, n - 1)
+      gridded <- Gen.oneOf(true, false) // small integer coordinates: many tied distances
+      self <- Gen.oneOf(true, false)
+      seed <- Gen.choose(0L, 10000L)
+    } yield (n, d, k, gridded, self, seed)
+    check("blockknn", Prop.forAll(cases) { case (n, d, k, gridded, self, seed) =>
+      val rng = new java.util.Random(seed)
+      def point() = Array.fill(d)(if (gridded) rng.nextInt(3).toDouble else rng.nextGaussian())
+      val base = Array.fill(n)(point())
+      val queries = if (self) base else Array.fill(3)(point())
+      val got = KnnMatrix.blockKnn(base, queries, k, excludeSelf = self)
+      queries.indices.forall { qi =>
+        val selfId = if (self) qi else -1
+        val naive = base.indices.filter(_ != selfId)
+          .sortBy(i => (KnnMatrix.sqDist(base(i), queries(qi)), i)).take(k)
+        got(qi).sameElements(KnnMatrix.topK(base, queries(qi), k, selfId)) &&
+          (qi > 2 || got(qi).toSeq == naive)
+      }
+    })
+  }
+
   test("property: ARI is symmetric and equals 1 on identical labelings") {
     val labelings = for {
       n <- Gen.choose(4, 60)

@@ -2,12 +2,9 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SynthData
-import repro.core.KnnMatrix
+import repro.core.Hierarchical.localKnn
 
 class GraphPartitionerSpec extends AnyFunSuite {
-
-  private def localKnn(data: Array[Array[Double]], k: Int): Array[Array[Int]] =
-    Array.tabulate(data.length)(i => KnnMatrix.topK(data, data(i), k, i))
 
   test("symmetrize makes the adjacency symmetric and irreflexive") {
     val knn = Array(Array(1, 2), Array(2), Array(0))

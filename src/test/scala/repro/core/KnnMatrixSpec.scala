@@ -53,6 +53,56 @@ class KnnMatrixSpec extends SparkSpec {
       assert(gt(qi).toSeq == naiveKnn(base, queries(qi), 7, -1))
   }
 
+  test("ties are ordered by (distance, id) in topK, blockKnn and selfKnn") {
+    // ids 0, 1, 2 at squared distance 4 from point 4, then id 3 at distance 1
+    val data = Array(Array(2.0, 0.0), Array(0.0, 2.0), Array(-2.0, 0.0), Array(1.0, 0.0), Array(0.0, 0.0))
+    val want = Seq(3, 0, 1)
+    assert(KnnMatrix.topK(data.take(4), data(4), 3, selfId = -1).toSeq == want)
+    assert(KnnMatrix.topK(data, data(4), 3, selfId = 4).toSeq == want)
+    assert(KnnMatrix.blockKnn(data.take(4), data.drop(4), 3, excludeSelf = false).head.toSeq == want)
+    assert(KnnMatrix.blockKnn(data, data, 3, excludeSelf = true)(4).toSeq == want)
+    assert(KnnMatrix.selfKnn(spark, data, 3)(4).toSeq == want)
+  }
+
+  test("all-duplicate points: every row lists the other ids in ascending order") {
+    val n = 2 * KnnMatrix.TileRows + 3
+    val data = Array.fill(n)(Array(1.5, -2.0, 0.25))
+    val k = 7
+    val want = Array.tabulate(n)(i => (0 until n).filter(_ != i).take(k))
+    val viaSpark = KnnMatrix.selfKnn(spark, data, k)
+    val viaKernel = KnnMatrix.blockKnn(data, data, k, excludeSelf = true)
+    for (i <- 0 until n) {
+      assert(KnnMatrix.topK(data, data(i), k, i).toSeq == want(i), s"topK row $i")
+      assert(viaKernel(i).toSeq == want(i), s"blockKnn row $i")
+      assert(viaSpark(i).toSeq == want(i), s"selfKnn row $i")
+    }
+  }
+
+  test("blockKnn equals topK row for row at tile edges, for self and external queries") {
+    val w = KnnMatrix.TileRows
+    val rng = new java.util.Random(17)
+    for (n <- Seq(1, w - 1, w, w + 1, 2 * w + 3); d <- Seq(1, 33)) {
+      val base = Array.fill(n)(Array.fill(d)(rng.nextGaussian()))
+      val queries = Array.fill(5)(Array.fill(d)(rng.nextGaussian()))
+      val k = n - 1
+      // self mode: every id, including the tile boundaries 255/256 and 511/512, is some row's self
+      val self = KnnMatrix.blockKnn(base, base, k, excludeSelf = true)
+      for (i <- 0 until n)
+        assert(self(i).toSeq == KnnMatrix.topK(base, base(i), k, i).toSeq, s"n=$n d=$d self row $i")
+      val ext = KnnMatrix.blockKnn(base, queries, k, excludeSelf = false)
+      for (qi <- queries.indices)
+        assert(ext(qi).toSeq == KnnMatrix.topK(base, queries(qi), k, -1).toSeq, s"n=$n d=$d query $qi")
+    }
+  }
+
+  test("selfKnn (Spark) on siftLite n=2000 equals the driver-side kernel") {
+    val data = SynthData.siftLite(2000, seed = 19)
+    val viaSpark = KnnMatrix.selfKnn(spark, data, 10)
+    val viaKernel = KnnMatrix.blockKnn(data, data, 10, excludeSelf = true)
+    assert(viaSpark.length == 2000)
+    for (i <- data.indices) assert(viaSpark(i).sameElements(viaKernel(i)), s"row $i")
+  }
+
   test("selfKnn rejects k >= n") {
     val data = SynthData.gaussianMixture(5, 3, 1, seed = 11)
     intercept[IllegalArgumentException](KnnMatrix.selfKnn(spark, data, 5))

@@ -71,7 +71,7 @@ class TrainerVariantsSpec extends SparkSpec {
       val off = if (i < 100) 0.0 else 1000.0
       Array(off + rng.nextGaussian(), rng.nextGaussian())
     }
-    val knnB = Array.tabulate(200)(i => KnnMatrix.topK(pts, pts(i), 8, i))
+    val knnB = Hierarchical.localKnn(pts, 8)
     // fine bins: split each blob in half arbitrarily
     val fine = Array.tabulate(200)(i => (if (i < 100) 0 else 2) + i % 2)
     val merged = Tables.uspClusterFromFine(pts, knnB, 2, fine, 4)
@@ -85,7 +85,7 @@ class TrainerVariantsSpec extends SparkSpec {
   test("uspClusterFromFine handles empty fine bins") {
     val rng = new java.util.Random(8)
     val pts = Array.fill(50)(Array(rng.nextGaussian(), rng.nextGaussian()))
-    val knnB = Array.tabulate(50)(i => KnnMatrix.topK(pts, pts(i), 5, i))
+    val knnB = Hierarchical.localKnn(pts, 5)
     val fine = Array.fill(50)(0) // only bin 0 of 8 used
     val merged = Tables.uspClusterFromFine(pts, knnB, 1, fine, 8)
     assert(merged.forall(_ == 0))
@@ -97,7 +97,7 @@ class TrainerVariantsSpec extends SparkSpec {
       val off = if (i % 2 == 0) -8.0 else 8.0
       Array(off + rng.nextGaussian(), rng.nextGaussian())
     }
-    val knnB = Array.tabulate(300)(i => KnnMatrix.topK(pts, pts(i), 10, i))
+    val knnB = Hierarchical.localKnn(pts, 10)
     val labels = Tables.uspCluster(pts, knnB, k = 2, epochs = 60)
     val truth = Array.tabulate(300)(_ % 2)
     assert(repro.cluster.ClusterMetrics.ari(labels, truth) > 0.95)
