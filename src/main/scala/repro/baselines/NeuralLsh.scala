@@ -1,9 +1,8 @@
 package repro.baselines
 
-import repro.Rng
 import repro.core.{SpacePartitioner, ModelPartitioner}
 import repro.linalg.Mat
-import repro.nn.{Adam, Net}
+import repro.nn.Net
 import java.util.Random
 
 /** Neural LSH (Dong et al., ICLR 2020) — the paper's main comparator.
@@ -44,48 +43,25 @@ object NeuralLsh {
   def trainClassifier(data: Array[Array[Double]], labels: Array[Int], m: Int,
                       hidden: Int, epochs: Int, batchSize: Int, lr: Double,
                       seed: Long): (Net, Array[Double]) = {
-    val n = data.length
     val d = data(0).length
     val net = if (hidden <= 0) Net.logistic(d, m, seed) else Net.mlp(d, hidden, m, seed)
-    val opt = new Adam(net.params, lr)
-    val rng = new Random(seed ^ 0xabc)
     val x = Mat.fromRows(data.toIndexedSeq)
-    val idx = Array.tabulate(n)(identity)
-    val trace = new Array[Double](epochs)
-    var epoch = 0
-    while (epoch < epochs) {
-      Rng.shuffle(idx, rng)
-      var lossSum = 0.0
-      var steps = 0
-      var start = 0
-      while (start < n) {
-        val end = math.min(n, start + batchSize)
-        val b = java.util.Arrays.copyOfRange(idx, start, end)
-        val logits = net.forward(x.selectRows(b), training = true)
-        val probs = Net.softmaxRows(logits)
-        // CE vs one-hot labels; d(logits) = (p - y)/batch
-        val dz = Mat.zeros(b.length, m)
-        var loss = 0.0
-        var r = 0
-        while (r < b.length) {
-          val y = labels(b(r))
-          loss -= math.log(probs(r, y) + 1e-12)
-          var j = 0
-          while (j < m) {
-            dz(r, j) = (probs(r, j) - (if (j == y) 1.0 else 0.0)) / b.length
-            j += 1
-          }
-          r += 1
+    val trace = net.fit(x, epochs, batchSize, lr, new Random(seed ^ 0xabc)) { b => probs =>
+      // CE vs one-hot labels; d(logits) = (p - y)/batch
+      val dz = Mat.zeros(b.length, m)
+      var loss = 0.0
+      var r = 0
+      while (r < b.length) {
+        val y = labels(b(r))
+        loss -= math.log(probs(r, y) + 1e-12)
+        var j = 0
+        while (j < m) {
+          dz(r, j) = (probs(r, j) - (if (j == y) 1.0 else 0.0)) / b.length
+          j += 1
         }
-        net.zeroGrad()
-        net.backward(dz)
-        opt.step()
-        lossSum += loss / b.length
-        steps += 1
-        start = end
+        r += 1
       }
-      trace(epoch) = lossSum / steps
-      epoch += 1
+      (loss / b.length, dz)
     }
     (net, trace)
   }

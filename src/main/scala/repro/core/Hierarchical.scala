@@ -18,13 +18,10 @@ object Hierarchical {
   }
 
   def train(data: Array[Array[Double]], knn: Array[Array[Int]],
-            rootCfg: UspConfig, m2: Int, leafEpochs: Int = 0): Trained = {
+            rootCfg: UspConfig, m2: Int, leafEpochs: Int): Trained = {
     val m1 = rootCfg.m
     val root = UspTrainer.train(data, knn, rootCfg)
-    val leafCfgBase = rootCfg.copy(
-      m = m2,
-      epochs = if (leafEpochs > 0) leafEpochs else rootCfg.epochs,
-    )
+    val leafCfgBase = rootCfg.copy(m = m2, epochs = leafEpochs)
     val leaves = new Array[UspModel](m1)
     var b = 0
     while (b < m1) {

@@ -87,12 +87,13 @@ object UspLoss {
     (-winSum / batch, dP)
   }
 
-  /** Empirical bin distribution of each point's k' neighbors (Equation 9),
-    * from cached hard assignments of the whole dataset.
+  /** Empirical bin distribution of each point's k' neighbors (Equation 9):
+    * each neighbor adds 1/k' to its bin, in neighbor order.
     *
     * @param batchIdx    dataset indices of the batch points
     * @param knn         k'-NN matrix (row i = neighbor indices of point i)
-    * @param assignments current hard bin of every dataset point
+    * @param assignments current hard bin of every point; only the entries of
+    *                    the batch's neighbors are read
     */
   def neighborBinTargets(batchIdx: Array[Int], knn: Array[Array[Int]],
                          assignments: Array[Int], m: Int): Mat = {

@@ -7,9 +7,9 @@ import repro.cluster.{ClusterMetrics, Dbscan, Spectral}
 import repro.core._
 import repro.scann.{ProductQuantizer, ScannIndex}
 
-/** One experiment harness per evaluation table. `jobs/` mains and the
-  * `bench` suites both call these, so the numbers printed by
-  * `sbt "bench/test"` and by spark-submit are the same code path.
+/** One experiment harness per evaluation table. The `bench` suites call
+  * these and print their rows, so `sbt "bench/test"` is the one way to get
+  * each table's numbers.
   *
   * Scales are parameters (benches run siftLite n=20k; unit-ish smoke calls
   * can shrink them) — see DESIGN.md §5 for the per-table mapping.
@@ -320,6 +320,4 @@ object Tables {
   def fmtSweep(r: SweepResult): String =
     s"${r.method}\n" + r.points.map(p =>
       f"  probe=${p.probe}%2d  |C|=${p.avgCand}%9.1f  10-NN acc=${p.accuracy}%.4f").mkString("\n")
-
-  def printAll(lines: Seq[String]): Unit = lines.foreach(println)
 }

@@ -1,6 +1,8 @@
 package repro.nn
 
+import repro.Rng
 import repro.linalg.Mat
+import java.lang.Double.isFinite
 import java.util.Random
 
 /** A sequential stack of layers ending in logits (softmax lives in the loss).
@@ -24,6 +26,53 @@ final class Net(val layers: Seq[Layer]) extends Serializable {
 
   /** Softmax probabilities for a batch (inference mode). */
   def predictProbs(x: Mat): Mat = Net.softmaxRows(forward(x, training = false))
+
+  /** The minibatch training loop every trainer shares: Adam over the rows of
+    * `x`, reshuffled each epoch and cut into `batchSize` slices.
+    *
+    * `lossFor(batchIds)` runs before the training forward, so it sees the
+    * BatchNorm running statistics from before the step; it returns the map
+    * from the batch's softmax probabilities to (loss, dL/d(logits)).
+    *
+    * @return the mean batch loss of each epoch
+    */
+  def fit(x: Mat, epochs: Int, batchSize: Int, lr: Double, rng: Random)
+         (lossFor: Array[Int] => Mat => (Double, Mat)): Array[Double] = {
+    val opt = new Adam(params, lr)
+    val idx = Array.range(0, x.rows)
+    val trace = new Array[Double](epochs)
+    var epoch = 0
+    while (epoch < epochs) {
+      Rng.shuffle(idx, rng)
+      var lossSum = 0.0
+      var steps = 0
+      var start = 0
+      while (start < x.rows) {
+        val end = math.min(x.rows, start + batchSize)
+        val batchIds = java.util.Arrays.copyOfRange(idx, start, end)
+        val lossOf = lossFor(batchIds)
+        val (loss, dz) = lossOf(Net.softmaxRows(forward(x.selectRows(batchIds), training = true)))
+        zeroGrad()
+        backward(dz)
+        opt.step()
+        lossSum += loss
+        steps += 1
+        start = end
+      }
+      trace(epoch) = lossSum / steps
+      // A NaN/Inf input or a diverged step poisons the weights, after which
+      // every point lands in one bin. The loss alone does not show it: ReLU
+      // maps the NaNs of a poisoned BatchNorm to 0, so the weights are checked
+      // too.
+      val weightsFinite = params.forall(_.v.a.forall(isFinite))
+      if (!isFinite(trace(epoch)) || !weightsFinite)
+        throw new IllegalStateException(
+          s"training diverged in epoch ${epoch + 1} of $epochs: " +
+          s"mean loss ${trace(epoch)}, weights finite: $weightsFinite")
+      epoch += 1
+    }
+    trace
+  }
 }
 
 object Net {

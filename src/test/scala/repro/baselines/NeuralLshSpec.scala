@@ -35,6 +35,20 @@ class NeuralLshSpec extends SparkSpec {
     assert(acc > 0.7, s"logistic accuracy $acc")
   }
 
+  test("a NaN coordinate makes classifier training fail loudly") {
+    val labels = Array.tabulate(data.length)(_ % 4)
+    val poisoned = data.map(_.clone())
+    poisoned(17)(2) = Double.NaN
+    // hidden=0: the logits and the loss go NaN; hidden=16: ReLU zeroes the
+    // NaNs of the poisoned BatchNorm, so only the weights show it
+    for (hidden <- Seq(0, 16)) {
+      val e = intercept[IllegalStateException](
+        NeuralLsh.trainClassifier(poisoned, labels, m = 4, hidden = hidden, epochs = 3,
+          batchSize = 128, lr = 1e-2, seed = 6))
+      assert(e.getMessage.contains("epoch 1 of 3"), e.getMessage)
+    }
+  }
+
   test("probeOrder is a permutation headed by the assigned bin") {
     val t = NeuralLsh.train(data, knn, m = 4, hidden = 16, epochs = 10, seed = 5)
     val q = data(11)

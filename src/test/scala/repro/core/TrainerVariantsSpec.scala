@@ -4,37 +4,25 @@ import repro.{SparkSpec, SynthData}
 import repro.eval.Tables
 import repro.nn.Net
 
-/** Coverage for the trainer's target-mode variants and the clustering
-  * merge helper built on top of the fine partitions.
+/** Coverage for the trainer's neighbor preservation, the two-block MLP and
+  * the clustering merge helper built on top of the fine partitions.
   */
 class TrainerVariantsSpec extends SparkSpec {
 
   private lazy val data = SynthData.gaussianMixture(500, 6, 4, seed = 131)
   private lazy val knn = KnnMatrix.selfKnn(spark, data, 8)
 
-  test("amortized targets (exactTargets=false) also converge to a balanced partition") {
-    val cfg = UspConfig(m = 4, kPrime = 8, eta = 6.0, epochs = 30, batchSize = 128,
-      lr = 3e-3, hidden = 32, seed = 1, exactTargets = false)
+  test("training preserves most k'-NN edges within a bin") {
+    val cfg = UspConfig(m = 4, kPrime = 8, eta = 4.0, epochs = 30, batchSize = 128,
+      lr = 3e-3, hidden = 32, seed = 2)
     val model = UspTrainer.train(data, knn, cfg)
-    val sizes = Array.fill(4)(0)
-    model.assignments.foreach(b => sizes(b) += 1)
-    assert(sizes.forall(_ > 0) && sizes.max <= data.length / 2)
-  }
-
-  test("exact and amortized targets reach comparable neighbor preservation") {
-    def preserved(exact: Boolean): Double = {
-      val cfg = UspConfig(m = 4, kPrime = 8, eta = 4.0, epochs = 30, batchSize = 128,
-        lr = 3e-3, hidden = 32, seed = 2, exactTargets = exact)
-      val model = UspTrainer.train(data, knn, cfg)
-      var same = 0L; var tot = 0L
-      for (i <- data.indices; j <- knn(i)) {
-        if (model.assignments(i) == model.assignments(j)) same += 1
-        tot += 1
-      }
-      same.toDouble / tot
+    var same = 0L; var tot = 0L
+    for (i <- data.indices; j <- knn(i)) {
+      if (model.assignments(i) == model.assignments(j)) same += 1
+      tot += 1
     }
-    val pe = preserved(true); val pa = preserved(false)
-    assert(pe > 0.7 && pa > 0.7, s"exact=$pe amortized=$pa")
+    val preserved = same.toDouble / tot
+    assert(preserved > 0.7, s"preserved=$preserved")
   }
 
   test("mlp2 gradient check (CE loss, finite differences)") {

@@ -53,6 +53,12 @@ class UspTrainerSpec extends SparkSpec {
     val a = UspTrainer.inferAssignments(model.net, x, chunk = 7)
     val b = UspTrainer.inferAssignments(model.net, x, chunk = 100000)
     assert(a.sameElements(b))
+    // row-local: a row's bin does not depend on the other rows of its forward,
+    // repeated rows included (training targets forward distinct neighbors only)
+    val rng = new java.util.Random(55)
+    val ids = Array.fill(300)(rng.nextInt(data.length))
+    assert(ids.distinct.length < ids.length)
+    assert(UspTrainer.inferAssignments(model.net, x.selectRows(ids)).sameElements(ids.map(b)))
   }
 
   test("logistic architecture (hidden=0) trains and yields valid assignments") {
