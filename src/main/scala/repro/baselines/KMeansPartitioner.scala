@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.SparkSession
 import java.util.Random
-import repro.core.{KnnMatrix, SpacePartitioner}
+import repro.core.{KnnMatrix, SpacePartitioner, SparkRows}
 
 /** Lloyd's K-means — the ubiquitous partitioning baseline (IVF / quantizer
   * cells). A bin's score is minus the squared centroid distance, so
@@ -25,79 +25,62 @@ object KMeansPartitioner {
                seed: Long = 5): KMeansPartitioner = {
     val rng = new Random(seed)
     val centroids = seedPlusPlus(data, k, rng)
+    new KMeansPartitioner(lloyd(data, centroids, iters, rng)(cs => data.map(nearest(cs, _))))
+  }
+
+  /** Spark Lloyd's: each iteration assigns the rows on Spark, one task per
+    * row range, and updates the centroids on the driver; so it returns
+    * [[fitLocal]]'s centroids bit for bit. The rows are broadcast once for
+    * all iterations, the centroids once per iteration.
+    */
+  def fitSpark(spark: SparkSession, data: Array[Array[Double]], k: Int,
+               iters: Int = 25, seed: Long = 5): KMeansPartitioner = {
+    val rng = new Random(seed)
+    val centroids = seedPlusPlus(data, k, rng)
+    val rows = spark.sparkContext.broadcast(data)
+    try new KMeansPartitioner(lloyd(data, centroids, iters, rng) { cs =>
+      SparkRows.map(spark, data.length, cs) { (c, lo, hi) =>
+        Array.tabulate(hi - lo)(i => nearest(c, rows.value(lo + i)))
+      }
+    })
+    finally rows.destroy()
+  }
+
+  /** `iters` Lloyd's iterations from `centroids`, which are updated in place
+    * and returned. One iteration: `assignAll(centroids)` gives every row's
+    * centroid; each centroid becomes the mean of its rows, summed in data
+    * order; an empty centroid is reseeded with a row drawn from `rng`, in
+    * centroid order.
+    */
+  private[repro] def lloyd(data: Array[Array[Double]], centroids: Array[Array[Double]],
+                           iters: Int, rng: Random)
+                          (assignAll: Array[Array[Double]] => Array[Int]): Array[Array[Double]] = {
+    val k = centroids.length
     val d = data(0).length
     var it = 0
     while (it < iters) {
+      val assigned = assignAll(centroids)
       val sums = Array.fill(k, d)(0.0)
       val counts = new Array[Int](k)
-      data.foreach { v =>
-        val c = nearest(centroids, v)
+      var i = 0
+      while (i < data.length) {
+        val c = assigned(i)
         counts(c) += 1
         var j = 0
-        while (j < d) { sums(c)(j) += v(j); j += 1 }
+        while (j < d) { sums(c)(j) += data(i)(j); j += 1 }
+        i += 1
       }
       var c = 0
       while (c < k) {
         if (counts(c) > 0) {
           var j = 0
           while (j < d) { centroids(c)(j) = sums(c)(j) / counts(c); j += 1 }
-        } else centroids(c) = data(rng.nextInt(data.length)).clone() // re-seed empty
+        } else centroids(c) = data(rng.nextInt(data.length)).clone()
         c += 1
       }
       it += 1
     }
-    new KMeansPartitioner(centroids)
-  }
-
-  /** Spark Lloyd's: per-partition partial sums aggregated on the driver —
-    * the classic DataFrame-era clustering dataflow for the index build.
-    */
-  def fitSpark(spark: SparkSession, data: Array[Array[Double]], k: Int,
-               iters: Int = 25, seed: Long = 5): KMeansPartitioner = {
-    val rng = new Random(seed)
-    var centroids = seedPlusPlus(data, k, rng)
-    val d = data(0).length
-    val bc = spark.sparkContext.broadcast(data)
-    val rdd = spark.sparkContext
-      .range(0, data.length, numSlices = spark.sparkContext.defaultParallelism)
-      .cache()
-    var it = 0
-    while (it < iters) {
-      val cents = spark.sparkContext.broadcast(centroids)
-      val agg = rdd
-        .mapPartitions { ids =>
-          val cs = cents.value
-          val sums = Array.fill(cs.length, d)(0.0)
-          val counts = new Array[Long](cs.length)
-          ids.foreach { i =>
-            val v = bc.value(i.toInt)
-            val c = nearest(cs, v)
-            counts(c) += 1
-            var j = 0
-            while (j < d) { sums(c)(j) += v(j); j += 1 }
-          }
-          Iterator.single((sums, counts))
-        }
-        .reduce { (a, b) =>
-          var c = 0
-          while (c < k) {
-            var j = 0
-            while (j < d) { a._1(c)(j) += b._1(c)(j); j += 1 }
-            a._2(c) += b._2(c)
-            c += 1
-          }
-          a
-        }
-      centroids = Array.tabulate(k) { c =>
-        if (agg._2(c) > 0) Array.tabulate(d)(j => agg._1(c)(j) / agg._2(c))
-        else data(rng.nextInt(data.length)).clone()
-      }
-      cents.destroy()
-      it += 1
-    }
-    rdd.unpersist()
-    bc.destroy()
-    new KMeansPartitioner(centroids)
+    centroids
   }
 
   private[baselines] def nearest(centroids: Array[Array[Double]], v: Array[Double]): Int = {

@@ -16,8 +16,8 @@ import java.util.Random
   */
 object NeuralLsh {
 
-  final case class Trained(net: Net, labels: Array[Int], m: Int,
-                           partitioner: ModelPartitioner, lossTrace: Array[Double])
+  final case class Trained(labels: Array[Int], partitioner: ModelPartitioner,
+                           lossTrace: Array[Double])
 
   /** Supervised CE training on graph-partition labels.
     *
@@ -36,7 +36,7 @@ object NeuralLsh {
       if (GraphPartitioner.edgeCut(adj, ml) < GraphPartitioner.edgeCut(adj, grown)) ml
       else grown
     val net = trainClassifier(data, labels, m, hidden, epochs, batchSize, lr, seed)
-    Trained(net._1, labels, m, new ModelPartitioner(net._1, m), net._2)
+    Trained(labels, new ModelPartitioner(net._1, m), net._2)
   }
 
   /** Plain softmax-CE classifier training (shared with Regression LSH). */

@@ -212,12 +212,10 @@ object BspTree {
   * partitions) with 2-means hyperplanes standing in for its learned ranking
   * hyperplanes — documented in DESIGN.md §6.
   */
-final class BoostedForest private (trees: Seq[(BspTree, PartitionIndex)]) extends CandidateIndex {
-  override def maxProbe: Int = trees.head._1.numBins
-
+final class BoostedForest private (indexes: Seq[PartitionIndex]) extends CandidateIndex {
   override def candidates(q: Array[Double], mProbe: Int): Array[Int] = {
     val seen = new scala.collection.mutable.ArrayBuilder.ofInt
-    trees.foreach { case (_, idx) => seen ++= idx.candidates(q, mProbe) }
+    indexes.foreach(idx => seen ++= idx.candidates(q, mProbe))
     seen.result().distinct
   }
 }
@@ -227,7 +225,7 @@ object BoostedForest {
           numTrees: Int, seed: Long = 33): BoostedForest = {
     val rng = new Random(seed)
     var weights = Array.fill(data.length)(1.0)
-    val trees = (0 until numTrees).map { t =>
+    val indexes = (0 until numTrees).map { t =>
       // weighted resample (with replacement) so high-weight points shape splits
       val resample =
         if (t == 0) data
@@ -244,8 +242,8 @@ object BoostedForest {
       val tree = BspTree.build(resample, depth, BspTree.twoMeans, seed + 101L * t)
       val index = PartitionIndex.build(tree, data)
       weights = repro.core.Ensemble.nextWeights(weights, knn, index.assignments)
-      (tree, index)
+      index
     }
-    new BoostedForest(trees)
+    new BoostedForest(indexes)
   }
 }

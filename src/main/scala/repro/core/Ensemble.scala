@@ -99,8 +99,6 @@ final class EnsembleIndex(trained: Ensemble.Trained,
     }
   }
 
-  override def maxProbe: Int = m
-
   override def candidates(q: Array[Double], mProbe: Int): Array[Int] = {
     val p = math.min(math.max(mProbe, 1), m)
     val scores = parts.map(_.partitioner.binScores(q))

@@ -9,7 +9,7 @@ package repro.core
 object Hierarchical {
 
   final case class Trained(root: UspModel, leaves: Array[UspModel],
-                           m1: Int, m2: Int, partitioner: HierPartitioner)
+                           partitioner: HierPartitioner)
 
   /** Exact k-NN inside a small subset, driver-side (leaf preprocessing). */
   def localKnn(subset: Array[Array[Double]], k: Int): Array[Array[Int]] = {
@@ -43,7 +43,7 @@ object Hierarchical {
     }
     val part = new HierPartitioner(new ModelPartitioner(root.net, m1),
                                    leaves.map(l => new ModelPartitioner(l.net, m2)))
-    Trained(root, leaves, m1, m2, part)
+    Trained(root, leaves, part)
   }
 }
 

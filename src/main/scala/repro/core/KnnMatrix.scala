@@ -17,8 +17,8 @@ import org.apache.spark.sql.SparkSession
   * each query's heap sees its (distance, id) pairs in ascending id, as in
   * [[topK]]; so the kernel and `topK` return the same rows bit for bit.
   * Every row is ordered by (distance, id). On Spark, `selfKnn`/`queryKnn`
-  * broadcast the tiles and run the kernel on one range of query rows per
-  * task.
+  * broadcast the tiles and the query rows and run the kernel on one range
+  * of query rows per task ([[SparkRows]]).
   */
 object KnnMatrix {
 
@@ -175,16 +175,9 @@ object KnnMatrix {
                   queries: Array[Array[Double]], k: Int,
                   excludeSelf: Boolean): Array[Array[Int]] = {
     require(k < base.length, s"k=$k must be < n=${base.length}")
-    val sc = spark.sparkContext
     val n = base.length
-    val bt = sc.broadcast(tiles(base))
-    val slices = 2 * sc.defaultParallelism
-    val step = math.max(1, (queries.length + slices - 1) / slices)
-    val ranges = (0 until queries.length by step).map(lo => (lo, queries.slice(lo, lo + step)))
-    val out = sc.parallelize(ranges, math.max(1, ranges.length))
-      .mapPartitions(_.map { case (lo, qs) => scan(bt.value, n, qs, lo, k, excludeSelf) })
-      .collect()
-    bt.destroy()
-    out.flatten
+    SparkRows.map(spark, queries.length, (tiles(base), queries)) { case ((t, qs), lo, hi) =>
+      scan(t, n, qs.slice(lo, hi), lo, k, excludeSelf)
+    }
   }
 }

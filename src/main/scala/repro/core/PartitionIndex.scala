@@ -33,7 +33,6 @@ object SpacePartitioner {
   * The accuracy/|C| sweeps (all figures/tables) are computed against this.
   */
 trait CandidateIndex {
-  def maxProbe: Int
   /** Dataset point ids likely near `q`, probing the `mProbe` best bins. */
   def candidates(q: Array[Double], mProbe: Int): Array[Int]
 }
@@ -55,8 +54,6 @@ final class PartitionIndex(val partitioner: SpacePartitioner,
   }
 
   def binSizes: Array[Int] = lookup.map(_.length)
-
-  override def maxProbe: Int = partitioner.numBins
 
   override def candidates(q: Array[Double], mProbe: Int): Array[Int] =
     gather(partitioner.probeOrder(q), mProbe)
@@ -80,24 +77,15 @@ final class PartitionIndex(val partitioner: SpacePartitioner,
 }
 
 object PartitionIndex {
-  /** Index a dataset with a partitioner (runs `assign` as a Spark map when a
-    * session is given, else on the driver).
+  /** Index a dataset with a partitioner (runs `assign` on Spark, one task
+    * per row range, when a session is given, else on the driver).
     */
   def build(partitioner: SpacePartitioner, data: Array[Array[Double]],
             spark: SparkSession = null): PartitionIndex = {
     val assignments =
       if (spark == null) data.map(partitioner.assign)
-      else {
-        val bc = spark.sparkContext.broadcast(data)
-        val bp = spark.sparkContext.broadcast(partitioner)
-        val res = spark.sparkContext
-          .range(0, data.length, numSlices = spark.sparkContext.defaultParallelism)
-          .map(i => (i.toInt, bp.value.assign(bc.value(i.toInt))))
-          .collect()
-        bc.destroy()
-        val out = new Array[Int](data.length)
-        res.foreach { case (i, b) => out(i) = b }
-        out
+      else SparkRows.map(spark, data.length, (partitioner, data)) { case ((p, rows), lo, hi) =>
+        Array.tabulate(hi - lo)(i => p.assign(rows(lo + i)))
       }
     new PartitionIndex(partitioner, assignments)
   }

@@ -301,7 +301,7 @@ object Tables {
       val t0 = System.nanoTime()
       for (qi <- queries.indices) {
         val cand = candOf(queries(qi))
-        candSum += (if (cand == null) n.toLong else cand.length.toLong)
+        candSum += cand.length
         val got = scann.search(queries(qi), 10, rerank, cand).toSet
         hits += gt(qi).count(got.contains)
       }
@@ -309,7 +309,7 @@ object Tables {
       ScannRow(name, hits.toDouble / (queries.length * 10), candSum.toDouble / queries.length, us)
     }
     Seq(
-      eval("Vanilla ScaNN (full ADC scan)", _ => null),
+      eval("Vanilla ScaNN (full ADC scan)", _ => scann.allIds),
       eval(s"K-means + ScaNN (probe $mProbe)", q => kmIdx.candidates(q, mProbe)),
       eval(s"USP + ScaNN (probe $mProbe)", q => uspIdx.candidates(q, mProbe)),
     )

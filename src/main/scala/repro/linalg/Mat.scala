@@ -65,7 +65,6 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
 
   def +(other: Mat): Mat = zipMap(other)(_ + _)
   def -(other: Mat): Mat = zipMap(other)(_ - _)
-  def *:(s: Double): Mat = map(_ * s)
   def scale(s: Double): Mat = map(_ * s)
 
   def addInPlace(other: Mat, factor: Double = 1.0): Unit = {

@@ -83,24 +83,8 @@ object ProductQuantizer {
       val off = s * subDim
       val subs = data.map(v => java.util.Arrays.copyOfRange(v, off, off + subDim))
       // plain k-means init, then anisotropic Lloyd refinement
-      var cents = KMeansPartitioner.fitLocal(subs, k, iters = 5, seed = seed + s).centroids
-      var it = 0
-      while (it < iters) {
-        val sums = Array.fill(k, subDim)(0.0)
-        val counts = new Array[Int](k)
-        subs.foreach { x =>
-          val c = anisotropicNearest(x, cents, hPar, hOrth)
-          counts(c) += 1
-          var j = 0
-          while (j < subDim) { sums(c)(j) += x(j); j += 1 }
-        }
-        cents = Array.tabulate(k) { c =>
-          if (counts(c) > 0) Array.tabulate(subDim)(j => sums(c)(j) / counts(c))
-          else subs(rng.nextInt(subs.length)).clone()
-        }
-        it += 1
-      }
-      cents
+      val init = KMeansPartitioner.fitLocal(subs, k, iters = 5, seed = seed + s).centroids
+      KMeansPartitioner.lloyd(subs, init, iters, rng)(cs => subs.map(anisotropicNearest(_, cs, hPar, hOrth)))
     }
     new ProductQuantizer(codebooks, d)
   }
@@ -132,18 +116,19 @@ object ProductQuantizer {
 }
 
 /** ScaNN-lite search: ADC scan over a candidate id set, then exact rerank of
-  * the best `rerank` candidates. With `candidateIds = null` it scans the
-  * whole dataset (vanilla ScaNN); pairing it with a partitioner's candidate
-  * set gives the K-means+ScaNN / USP+ScaNN pipelines of §5.4.3.
+  * the best `rerank` candidates. By default it scans the whole dataset
+  * (vanilla ScaNN); pairing it with a partitioner's candidate set gives the
+  * K-means+ScaNN / USP+ScaNN pipelines of §5.4.3.
   */
 final class ScannIndex(data: Array[Array[Double]], pq: ProductQuantizer) {
   val codes: Array[Array[Byte]] = data.map(pq.encode)
+  /** Every dataset id: the candidate set of the full scan. */
+  val allIds: Array[Int] = Array.tabulate(data.length)(identity)
 
   def search(q: Array[Double], k: Int, rerank: Int,
-             candidateIds: Array[Int] = null): Array[Int] = {
-    val ids = if (candidateIds == null) Array.tabulate(data.length)(identity) else candidateIds
+             candidateIds: Array[Int] = allIds): Array[Int] = {
     val table = pq.adcTable(q)
-    val scored = ids.map(i => (pq.approxDist(codes(i), table), i))
+    val scored = candidateIds.map(i => (pq.approxDist(codes(i), table), i))
     val top = scored.sortBy(_._1).take(math.max(rerank, k))
     top.map { case (_, i) => (KnnMatrix.sqDist(data(i), q), i) }
       .sortBy(_._1).take(k).map(_._2)

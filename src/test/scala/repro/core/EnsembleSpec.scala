@@ -63,9 +63,4 @@ class EnsembleSpec extends SparkSpec {
     assert(ens.head.accuracy >= single.head.accuracy - 0.05,
       s"ensemble ${ens.head.accuracy} vs single ${single.head.accuracy}")
   }
-
-  test("ensemble index maxProbe equals the bin count") {
-    val trained = Ensemble.train(data, knn, cfg.copy(epochs = 5), e = 2)
-    assert(new EnsembleIndex(trained, data).maxProbe == cfg.m)
-  }
 }

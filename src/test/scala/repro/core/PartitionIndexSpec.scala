@@ -47,6 +47,11 @@ class PartitionIndexSpec extends SparkSpec {
     val sparkModelIdx = PartitionIndex.build(mp, data, spark)
     assert(sparkModelIdx.assignments.sameElements(PartitionIndex.build(mp, data).assignments))
     assert(sparkModelIdx.assignments.sameElements(model.assignments))
+    // one row, and fewer rows than the 2 × defaultParallelism row ranges
+    for (n <- Seq(1, 2 * spark.sparkContext.defaultParallelism - 1)) {
+      val few = data.take(n)
+      assert(PartitionIndex.build(mp, few, spark).assignments.sameElements(few.map(mp.assign)), s"n=$n")
+    }
   }
 
   test("candidates grow monotonically with probe depth and end at the full dataset") {

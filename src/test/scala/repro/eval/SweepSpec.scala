@@ -35,7 +35,6 @@ class SweepSpec extends SparkSpec {
 
   test("a perfect index (all points probed) has accuracy exactly 1") {
     val all = new CandidateIndex {
-      override def maxProbe = 1
       override def candidates(q: Array[Double], p: Int): Array[Int] =
         Array.tabulate(data.length)(identity)
     }
@@ -45,7 +44,6 @@ class SweepSpec extends SparkSpec {
 
   test("an empty index has accuracy 0 and candidate size 0") {
     val none = new CandidateIndex {
-      override def maxProbe = 1
       override def candidates(q: Array[Double], p: Int): Array[Int] = Array.empty
     }
     val pts = Sweep.run(none, data.length, queries, gt, Seq(1))
