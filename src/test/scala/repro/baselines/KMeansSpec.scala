@@ -40,15 +40,28 @@ class KMeansSpec extends SparkSpec {
     assert(dists.toSeq == dists.sorted.toSeq)
   }
 
-  test("fitSpark returns fitLocal's centroids bit for bit on blobs and on siftLite") {
+  private def centroidBits(c: Array[Array[Double]]) =
+    c.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq
+
+  test("fitSpark converges to a clustering equivalent to fitLocal on blobs") {
+    val local = KMeansPartitioner.fitLocal(blobs, 3, seed = 4)
+    val dist = KMeansPartitioner.fitSpark(spark, blobs, 3, seed = 4)
+    // same partition up to label permutation: compare co-membership
+    val la = blobs.map(local.assign)
+    val lb = blobs.map(dist.assign)
+    for (i <- 0 until 50; j <- 0 until 50)
+      assert((la(i) == la(j)) == (lb(i) == lb(j)),
+        s"points $i,$j co-membership differs between local and Spark fits")
+    // both run the same Lloyd's loop, so the centroids agree bit for bit
+    assert(centroidBits(dist.centroids) == centroidBits(local.centroids))
+  }
+
+  test("fitSpark returns fitLocal's centroids bit for bit on siftLite n=2000 k=16") {
     val sift = SynthData.siftLite(2000, seed = 7)
-    for ((data, k, seed) <- Seq((blobs, 3, 4L), (sift, 16, 7L))) {
-      val local = KMeansPartitioner.fitLocal(data, k, seed = seed).centroids
-      val viaSpark = KMeansPartitioner.fitSpark(spark, data, k, seed = seed).centroids
-      def bits(c: Array[Double]) = c.map(java.lang.Double.doubleToRawLongBits).toSeq
-      for (c <- 0 until k)
-        assert(bits(viaSpark(c)) == bits(local(c)), s"n=${data.length} k=$k centroid $c")
-    }
+    val local = KMeansPartitioner.fitLocal(sift, 16, seed = 7).centroids
+    val viaSpark = KMeansPartitioner.fitSpark(spark, sift, 16, seed = 7).centroids
+    val (lb, sb) = (centroidBits(local), centroidBits(viaSpark))
+    for (c <- 0 until 16) assert(sb(c) == lb(c), s"centroid $c")
   }
 
   test("k-means index: every point lands in its nearest centroid's bin (oracle-checked)") {
