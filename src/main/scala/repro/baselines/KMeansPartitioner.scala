@@ -1,8 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import java.util.Random
-import repro.core.{KnnMatrix, SpacePartitioner, SparkRows}
+import repro.core.{KnnMatrix, SpacePartitioner}
 
 /** Lloyd's K-means — the ubiquitous partitioning baseline (IVF / quantizer
   * cells). A bin's score is minus the squared centroid distance, so
@@ -18,32 +17,15 @@ final class KMeansPartitioner(val centroids: Array[Array[Double]]) extends Space
 
 object KMeansPartitioner {
 
-  /** Driver-side Lloyd's with k-means++ seeding (used for small subsets:
-    * tree nodes, PQ codebooks, clustering table).
+  /** Lloyd's with k-means++ seeding, on the driver: the IVF baseline of
+    * the tables, tree nodes, the PQ codebooks' start and the clustering
+    * table. The IVF index itself is built on Spark by [[repro.core.PartitionIndex.build]].
     */
   def fitLocal(data: Array[Array[Double]], k: Int, iters: Int = 25,
                seed: Long = 5): KMeansPartitioner = {
     val rng = new Random(seed)
     val centroids = seedPlusPlus(data, k, rng)
     new KMeansPartitioner(lloyd(data, centroids, iters, rng)(cs => data.map(nearest(cs, _))))
-  }
-
-  /** Spark Lloyd's: each iteration assigns the rows on Spark, one task per
-    * row range, and updates the centroids on the driver; so it returns
-    * [[fitLocal]]'s centroids bit for bit. The rows are broadcast once for
-    * all iterations, the centroids once per iteration.
-    */
-  def fitSpark(spark: SparkSession, data: Array[Array[Double]], k: Int,
-               iters: Int = 25, seed: Long = 5): KMeansPartitioner = {
-    val rng = new Random(seed)
-    val centroids = seedPlusPlus(data, k, rng)
-    val rows = spark.sparkContext.broadcast(data)
-    try new KMeansPartitioner(lloyd(data, centroids, iters, rng) { cs =>
-      SparkRows.map(spark, data.length, cs) { (c, lo, hi) =>
-        Array.tabulate(hi - lo)(i => nearest(c, rows.value(lo + i)))
-      }
-    })
-    finally rows.destroy()
   }
 
   /** `iters` Lloyd's iterations from `centroids`, which are updated in place

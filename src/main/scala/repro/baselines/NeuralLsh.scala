@@ -28,8 +28,10 @@ object NeuralLsh {
             hidden: Int = 512, epochs: Int = 40, batchSize: Int = 512,
             lr: Double = 1e-2, seed: Long = 9): Trained = {
     val adj = GraphPartitioner.symmetrize(knn)
-    // KaHIP-quality labels: the multilevel partitioner is the faithful
-    // substitute; fall back to flat region growth if it ever cuts worse.
+    // KaHIP-quality labels: keep the lower cut of the multilevel partition
+    // (the faithful substitute) and flat region growth. Each wins somewhere:
+    // flat cuts 51-54 edges against 209-349 on NeuralLshSpec's n=400, m=4
+    // fixture; multilevel 3 856 against 10 385 at Table 4's n=20 000, m=16.
     val grown = GraphPartitioner.partition(adj, m, seed = seed)
     val ml = GraphPartitioner.partitionMultilevel(adj, m, seed = seed)
     val labels =

@@ -1,7 +1,7 @@
 package repro.cluster
 
 import repro.core.KnnMatrix
-import repro.baselines.KMeansPartitioner
+import repro.baselines.{GraphPartitioner, KMeansPartitioner}
 import java.util.Random
 
 /** Spectral clustering (Ng–Jordan–Weiss) — Table 5 comparator.
@@ -17,9 +17,8 @@ object Spectral {
     val n = data.length
     // mutual-ish kNN affinity (symmetrized, unit weights)
     val knn = KnnMatrix.blockKnn(data, data, knnK, excludeSelf = true)
-    val adj = Array.fill(n)(new scala.collection.mutable.TreeSet[Int])
-    for (i <- 0 until n; j <- knn(i)) { adj(i) += j; adj(j) += i }
-    val deg = adj.map(_.size.toDouble)
+    val adj = GraphPartitioner.symmetrize(knn)
+    val deg = adj.map(_.length.toDouble)
     val invSqrtDeg = deg.map(d => if (d > 0) 1.0 / math.sqrt(d) else 0.0)
 
     // y = (2I − L_sym) x = x + D^{-1/2} A D^{-1/2} x

@@ -31,7 +31,7 @@ object Hierarchical {
         // Degenerate bin: too few points to subdivide; a fresh (untrained)
         // model still yields a valid (arbitrary) m2-way split of <=m2 points.
         val net = UspTrainer.defaultNet(data(0).length, leafCfgBase.copy(seed = rootCfg.seed + b))
-        val asg = subset.map(new ModelPartitioner(net, m2).assign)
+        val asg = new ModelPartitioner(net, m2).assignAll(subset)
         leaves(b) = UspModel(net, asg, Array.empty, leafCfgBase)
       } else {
         val localK = localKnn(subset, rootCfg.kPrime)

@@ -20,6 +20,11 @@ trait SpacePartitioner extends Serializable {
   /** The bin a dataset point is indexed under: the first maximal score. */
   def assign(v: Array[Double]): Int = new Mat(1, numBins, binScores(v)).argmaxRows(0)
 
+  /** The bins of many dataset points: `rows.map(assign)`, which a
+    * partitioner may compute in batches.
+    */
+  def assignAll(rows: Array[Array[Double]]): Array[Int] = rows.map(assign)
+
   final def probeOrder(q: Array[Double]): Array[Int] = SpacePartitioner.rank(binScores(q))
 }
 
@@ -77,15 +82,15 @@ final class PartitionIndex(val partitioner: SpacePartitioner,
 }
 
 object PartitionIndex {
-  /** Index a dataset with a partitioner (runs `assign` on Spark, one task
-    * per row range, when a session is given, else on the driver).
+  /** Index a dataset with a partitioner (runs `assignAll` on Spark, one
+    * task per row range, when a session is given, else on the driver).
     */
   def build(partitioner: SpacePartitioner, data: Array[Array[Double]],
             spark: SparkSession = null): PartitionIndex = {
     val assignments =
-      if (spark == null) data.map(partitioner.assign)
+      if (spark == null) partitioner.assignAll(data)
       else SparkRows.map(spark, data.length, (partitioner, data)) { case ((p, rows), lo, hi) =>
-        Array.tabulate(hi - lo)(i => p.assign(rows(lo + i)))
+        p.assignAll(rows.slice(lo, hi))
       }
     new PartitionIndex(partitioner, assignments)
   }
@@ -97,4 +102,16 @@ object PartitionIndex {
 final class ModelPartitioner(net: Net, val numBins: Int) extends SpacePartitioner {
   override def binScores(q: Array[Double]): Array[Double] =
     net.predictProbs(Mat.fromRows(Seq(q))).row(0)
+
+  /** One inference forward per block of `Block` rows. Inference is
+    * row-local, so the bins equal `assign`'s; the block bounds the
+    * activations held at once.
+    */
+  override def assignAll(rows: Array[Array[Double]]): Array[Int] =
+    rows.grouped(ModelPartitioner.Block)
+      .flatMap(b => net.predictProbs(Mat.fromRows(b.toIndexedSeq)).argmaxRows).toArray
+}
+
+object ModelPartitioner {
+  private val Block = 4096
 }

@@ -3,11 +3,11 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import scala.reflect.ClassTag
 
-/** The one row-parallel Spark dataflow (DESIGN §4). The k'-NN matrix, the
-  * index build and the K-means assignment step each run a function over
-  * consecutive ranges of their rows, one Spark task per range, and get the
-  * per-range results back concatenated in range order, so the output does
-  * not depend on task scheduling.
+/** The one row-parallel Spark dataflow (DESIGN §4). The k'-NN matrix and
+  * the index build each run a function over consecutive ranges of their
+  * rows, one Spark task per range, and get the per-range results back
+  * concatenated in range order, so the output does not depend on task
+  * scheduling.
   */
 private[repro] object SparkRows {
 

@@ -62,22 +62,6 @@ object UspTrainer {
       val targets = UspLoss.neighborBinTargets(batchIds, knn, bins, cfg.m)
       probs => UspLoss.lossAndGrad(probs, targets, batchIds.map(w), cfg.eta)
     }
-    UspModel(net, inferAssignments(net, x), trace, cfg)
-  }
-
-  /** Hard bin of every row of `x` under the current model (inference mode),
-    * computed in chunks to bound peak memory.
-    */
-  def inferAssignments(net: Net, x: Mat, chunk: Int = 4096): Array[Int] = {
-    val out = new Array[Int](x.rows)
-    var start = 0
-    while (start < x.rows) {
-      val end = math.min(x.rows, start + chunk)
-      val sub = x.selectRows(Array.range(start, end))
-      val am = net.predictProbs(sub).argmaxRows
-      System.arraycopy(am, 0, out, start, am.length)
-      start = end
-    }
-    out
+    UspModel(net, new ModelPartitioner(net, cfg.m).assignAll(data), trace, cfg)
   }
 }

@@ -38,6 +38,8 @@ final class Net(val layers: Seq[Layer]) extends Serializable {
     */
   def fit(x: Mat, epochs: Int, batchSize: Int, lr: Double, rng: Random)
          (lossFor: Array[Int] => Mat => (Double, Mat)): Array[Double] = {
+    require(x.rows > 0, "cannot fit on an empty dataset")
+    require(batchSize > 0, s"batchSize must be positive, got $batchSize")
     val opt = new Adam(params, lr)
     val idx = Array.range(0, x.rows)
     val trace = new Array[Double](epochs)

@@ -77,6 +77,7 @@ object ProductQuantizer {
           seed: Long = 17): ProductQuantizer = {
     val d = data(0).length
     require(d % numSub == 0, s"d=$d must be divisible by numSub=$numSub")
+    require(k >= 1 && k <= 256, s"k=$k codewords must be in [1, 256]: codes are stored as bytes")
     val subDim = d / numSub
     val rng = new Random(seed)
     val codebooks = Array.tabulate(numSub) { s =>

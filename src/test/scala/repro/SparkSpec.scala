@@ -5,8 +5,8 @@ import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run,
-  * shared by every suite (the k'-NN jobs, the Spark index build and
-  * k-means, and the DataFrames the DuckDB oracles compare).
+  * shared by every suite (the k'-NN jobs, the Spark index build
+  * and the DataFrames the DuckDB oracles compare).
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM. The master comes from SPARK_MASTER (default

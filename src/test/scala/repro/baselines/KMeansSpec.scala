@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 import repro.core.{KnnMatrix, PartitionIndex}
 
 class KMeansSpec extends SparkSpec {
@@ -38,30 +38,6 @@ class KMeansSpec extends SparkSpec {
     assert(order.head == km.assign(q))
     val dists = order.map(c => KnnMatrix.sqDist(km.centroids(c), q))
     assert(dists.toSeq == dists.sorted.toSeq)
-  }
-
-  private def centroidBits(c: Array[Array[Double]]) =
-    c.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq
-
-  test("fitSpark converges to a clustering equivalent to fitLocal on blobs") {
-    val local = KMeansPartitioner.fitLocal(blobs, 3, seed = 4)
-    val dist = KMeansPartitioner.fitSpark(spark, blobs, 3, seed = 4)
-    // same partition up to label permutation: compare co-membership
-    val la = blobs.map(local.assign)
-    val lb = blobs.map(dist.assign)
-    for (i <- 0 until 50; j <- 0 until 50)
-      assert((la(i) == la(j)) == (lb(i) == lb(j)),
-        s"points $i,$j co-membership differs between local and Spark fits")
-    // both run the same Lloyd's loop, so the centroids agree bit for bit
-    assert(centroidBits(dist.centroids) == centroidBits(local.centroids))
-  }
-
-  test("fitSpark returns fitLocal's centroids bit for bit on siftLite n=2000 k=16") {
-    val sift = SynthData.siftLite(2000, seed = 7)
-    val local = KMeansPartitioner.fitLocal(sift, 16, seed = 7).centroids
-    val viaSpark = KMeansPartitioner.fitSpark(spark, sift, 16, seed = 7).centroids
-    val (lb, sb) = (centroidBits(local), centroidBits(viaSpark))
-    for (c <- 0 until 16) assert(sb(c) == lb(c), s"centroid $c")
   }
 
   test("k-means index: every point lands in its nearest centroid's bin (oracle-checked)") {

@@ -49,6 +49,19 @@ class NeuralLshSpec extends SparkSpec {
     }
   }
 
+  test("labels cut no more k'-NN edges than the flat or the multilevel partition") {
+    // flat region growth cuts fewer edges than multilevel here (about 50
+    // against 200-350), while multilevel wins at Table 4 scale: both are live
+    val adj = GraphPartitioner.symmetrize(knn)
+    for (seed <- 1 to 3) {
+      val t = NeuralLsh.train(data, knn, m = 4, hidden = 16, epochs = 1, seed = seed)
+      val cut = GraphPartitioner.edgeCut(adj, t.labels)
+      val flat = GraphPartitioner.edgeCut(adj, GraphPartitioner.partition(adj, 4, seed = seed))
+      val ml = GraphPartitioner.edgeCut(adj, GraphPartitioner.partitionMultilevel(adj, 4, seed = seed))
+      assert(cut <= flat && cut <= ml, s"seed $seed: labels $cut, flat $flat, multilevel $ml")
+    }
+  }
+
   test("probeOrder is a permutation headed by the assigned bin") {
     val t = NeuralLsh.train(data, knn, m = 4, hidden = 16, epochs = 10, seed = 5)
     val q = data(11)

@@ -1,6 +1,8 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, SynthData}
+import repro.baselines.{BspTree, KMeansPartitioner}
+import repro.nn.Net
 
 /** Simple fixed partitioner for testing the index mechanics in isolation:
   * bins points by the sign pattern of their first two coordinates.
@@ -109,6 +111,21 @@ class PartitionIndexSpec extends SparkSpec {
       assert(mp.assign(data(i)) == p.indexOf(p.max))
       assert(mp.probeOrder(data(i)).head == mp.assign(data(i)))
       assert(mp.probeOrder(data(i)).sorted.toSeq == Seq(0, 1, 2, 3))
+    }
+  }
+
+  test("assignAll equals rows.map(assign) for every partitioner kind") {
+    // more rows than one ModelPartitioner inference block, repeats included
+    val rows = Array.tabulate(4101)(i => data((i * 7) % data.length))
+    val leaves = Array.tabulate(4)(b => new ModelPartitioner(Net.mlp(4, 8, 3, seed = b), 3))
+    val partitioners: Seq[SpacePartitioner] = Seq(
+      new ModelPartitioner(model.net, 4),
+      KMeansPartitioner.fitLocal(data, 5, seed = 3),
+      BspTree.build(data, depth = 3, rule = BspTree.kd),
+      new HierPartitioner(new ModelPartitioner(model.net, 4), leaves))
+    for (p <- partitioners) {
+      assert(p.assignAll(rows).sameElements(rows.map(p.assign)), p.getClass.getSimpleName)
+      assert(p.assignAll(Array.empty[Array[Double]]).isEmpty, p.getClass.getSimpleName)
     }
   }
 

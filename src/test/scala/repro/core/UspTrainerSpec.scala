@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.{SparkSpec, SynthData}
-import repro.linalg.Mat
 
 class UspTrainerSpec extends SparkSpec {
 
@@ -41,24 +40,26 @@ class UspTrainerSpec extends SparkSpec {
   test("assignments field agrees with fresh inference through the net") {
     val cfg = UspConfig(m = 4, epochs = 10, batchSize = 128, hidden = 16, seed = 4)
     val model = UspTrainer.train(data, knn, cfg)
-    val x = Mat.fromRows(data.toIndexedSeq)
-    val fresh = UspTrainer.inferAssignments(model.net, x)
-    assert(fresh.sameElements(model.assignments))
+    assert(new ModelPartitioner(model.net, 4).assignAll(data).sameElements(model.assignments))
   }
 
-  test("inferAssignments chunking is invariant to chunk size") {
+  test("assignAll is invariant to how the rows are split") {
     val cfg = UspConfig(m = 3, epochs = 5, batchSize = 128, hidden = 16, seed = 5)
     val model = UspTrainer.train(data, knn, cfg)
-    val x = Mat.fromRows(data.toIndexedSeq)
-    val a = UspTrainer.inferAssignments(model.net, x, chunk = 7)
-    val b = UspTrainer.inferAssignments(model.net, x, chunk = 100000)
-    assert(a.sameElements(b))
+    val mp = new ModelPartitioner(model.net, 3)
+    val b = model.assignments
     // row-local: a row's bin does not depend on the other rows of its forward,
     // repeated rows included (training targets forward distinct neighbors only)
     val rng = new java.util.Random(55)
     val ids = Array.fill(300)(rng.nextInt(data.length))
     assert(ids.distinct.length < ids.length)
-    assert(UspTrainer.inferAssignments(model.net, x.selectRows(ids)).sameElements(ids.map(b)))
+    assert(mp.assignAll(ids.map(data)).sameElements(ids.map(b)))
+    // arbitrary contiguous splits, empty pieces included
+    for (_ <- 0 until 5) {
+      val cuts = (Array(0, data.length) ++ Array.fill(3)(rng.nextInt(data.length + 1))).sorted
+      val pieces = cuts.sliding(2).flatMap(c => mp.assignAll(data.slice(c(0), c(1)))).toArray
+      assert(pieces.sameElements(b), cuts.toSeq)
+    }
   }
 
   test("logistic architecture (hidden=0) trains and yields valid assignments") {

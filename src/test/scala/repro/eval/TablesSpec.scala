@@ -15,6 +15,26 @@ class TablesSpec extends SparkSpec {
     assert(rows.forall(_.paperParams.nonEmpty))
   }
 
+  private def table2Params = Tables.table2().map(r => r.method -> r.params).toMap
+
+  test("Table 2 ordering holds: Neural LSH > Ours > K-means") {
+    val rows = table2Params
+    val nlsh = rows("Neural LSH (hidden 512)")
+    val ours = rows("Ours (hidden 128)")
+    val km = rows("K-Means")
+    assert(nlsh > ours && ours > km)
+  }
+
+  test("Table 2 K-means entry reproduces the paper's 33k exactly") {
+    assert(table2Params("K-Means") == 32768L) // ≈33k in the paper
+  }
+
+  test("Table 2 Neural-LSH-to-ours ratio is close to the paper's ≈4x") {
+    val rows = table2Params
+    val ratio = rows("Neural LSH (hidden 512)").toDouble / rows("Ours (hidden 128)")
+    assert(ratio > 2.5 && ratio < 6.0, s"ratio $ratio out of the paper's ballpark (729k/183k≈4)")
+  }
+
   test("table3 produces one row per (dataset, bins) config at tiny scale") {
     val rows = Tables.table3(spark, nMnist = 300, nSift = 400, epochs = 2)
     assert(rows.map(r => (r.dataset, r.bins)).toSet == Set(

@@ -207,6 +207,26 @@ class LayerSpec extends AnyFunSuite {
     assert(acc > 0.98, s"accuracy $acc")
   }
 
+  test("Net.fit rejects a non-positive batch size") {
+    val net = Net.mlp(5, 8, 3, seed = 17)
+    for (batchSize <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](
+        net.fit(randMat(6, 5, 18), epochs = 1, batchSize, lr = 1e-3, new Random(1)) { b => _ =>
+          (0.0, Mat.zeros(b.length, 3))
+        })
+      assert(e.getMessage.contains("batchSize"), e.getMessage)
+    }
+  }
+
+  test("Net.fit rejects an empty dataset") {
+    val net = Net.mlp(5, 8, 3, seed = 17)
+    val e = intercept[IllegalArgumentException](
+      net.fit(Mat.zeros(0, 5), epochs = 1, batchSize = 4, lr = 1e-3, new Random(1)) { b => _ =>
+        (0.0, Mat.zeros(b.length, 3))
+      })
+    assert(e.getMessage.contains("empty"), e.getMessage)
+  }
+
   test("inference between a training forward and its backward leaves the gradients unchanged") {
     // Net.mlp holds every layer kind that caches: Linear, BatchNorm, ReLU, Dropout
     def grads(interleave: Boolean): Seq[Seq[Double]] = {

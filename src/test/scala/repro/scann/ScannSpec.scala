@@ -13,6 +13,12 @@ class ScannSpec extends SparkSpec {
     intercept[IllegalArgumentException](ProductQuantizer.fit(data, numSub = 5, k = 4))
   }
 
+  test("PQ rejects codebook sizes a byte code cannot hold") {
+    for (k <- Seq(0, 257))
+      intercept[IllegalArgumentException](ProductQuantizer.fit(data, numSub = 8, k = k))
+    assert(ProductQuantizer.fit(data, numSub = 8, k = 256, iters = 1).k == 256)
+  }
+
   test("encode produces one code per subspace within codebook range") {
     val pq = ProductQuantizer.fit(data, numSub = 8, k = 16, iters = 5)
     val code = pq.encode(data(0))
