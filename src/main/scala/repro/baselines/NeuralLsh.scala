@@ -48,7 +48,7 @@ object NeuralLsh {
     val d = data(0).length
     val net = if (hidden <= 0) Net.logistic(d, m, seed) else Net.mlp(d, hidden, m, seed)
     val x = Mat.fromRows(data.toIndexedSeq)
-    val trace = net.fit(x, epochs, batchSize, lr, new Random(seed ^ 0xabc)) { b => probs =>
+    val fit = net.fit(x, epochs, batchSize, lr, new Random(seed ^ 0xabc)) { b => probs =>
       // CE vs one-hot labels; d(logits) = (p - y)/batch
       val dz = Mat.zeros(b.length, m)
       var loss = 0.0
@@ -65,7 +65,7 @@ object NeuralLsh {
       }
       (loss / b.length, dz)
     }
-    (net, trace)
+    (net, fit.lossTrace)
   }
 }
 

@@ -32,7 +32,7 @@ object Hierarchical {
         // model still yields a valid (arbitrary) m2-way split of <=m2 points.
         val net = UspTrainer.defaultNet(data(0).length, leafCfgBase.copy(seed = rootCfg.seed + b))
         val asg = new ModelPartitioner(net, m2).assignAll(subset)
-        leaves(b) = UspModel(net, asg, Array.empty, leafCfgBase)
+        leaves(b) = UspModel(net, asg, Array.empty, leafCfgBase, Array.empty)
       } else {
         val localK = localKnn(subset, rootCfg.kPrime)
         leaves(b) = UspTrainer.train(subset, localK,
@@ -59,6 +59,20 @@ final class HierPartitioner(root: ModelPartitioner, leaves: Array[ModelPartition
   override def assign(v: Array[Double]): Int = {
     val rb = root.assign(v)
     rb * m2 + leaves(rb).assign(v)
+  }
+
+  /** The root's bins of all rows in one batch, then each root bin's rows
+    * through its leaf in one batch: `rows.map(assign)`, in row order.
+    */
+  override def assignAll(rows: Array[Array[Double]]): Array[Int] = {
+    val rootBins = root.assignAll(rows)
+    val out = new Array[Int](rows.length)
+    for (b <- leaves.indices) {
+      val ids = Array.range(0, rows.length).filter(rootBins(_) == b)
+      val leafBins = leaves(b).assignAll(ids.map(rows))
+      for (t <- ids.indices) out(ids(t)) = b * m2 + leafBins(t)
+    }
+    out
   }
 
   /** Combined probabilities p[j*m2+t] = rootP[j] · leafP_j[t]. */

@@ -35,9 +35,10 @@ object KnnMatrix {
   }
 
   /** Bounded max-heap over (dist, id), ordered by distance then id: the root
-    * is the worst kept candidate.
+    * is the worst kept candidate. It keeps the k smallest pairs, so offering
+    * negated values keeps the k largest (the balance window of [[UspLoss]]).
     */
-  private final class Heap(k: Int) {
+  private[core] final class Heap(k: Int) {
     private val hd = new Array[Double](k)
     private val hi = new Array[Int](k)
     private var size = 0

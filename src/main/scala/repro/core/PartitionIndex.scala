@@ -97,21 +97,17 @@ object PartitionIndex {
 }
 
 /** USP model as a [[SpacePartitioner]]: a bin's score is the trained
-  * model's softmax probability for it.
+  * model's softmax probability for it. The net's inference is taken once,
+  * at first use, so the net must not train after that.
   */
 final class ModelPartitioner(net: Net, val numBins: Int) extends SpacePartitioner {
-  override def binScores(q: Array[Double]): Array[Double] =
-    net.predictProbs(Mat.fromRows(Seq(q))).row(0)
+  @transient private lazy val probs = net.inference()
 
-  /** One inference forward per block of `Block` rows. Inference is
-    * row-local, so the bins equal `assign`'s; the block bounds the
-    * activations held at once.
+  override def binScores(q: Array[Double]): Array[Double] = probs(new Mat(1, q.length, q)).a
+
+  /** One batched inference over all rows. Inference is row-local, so the
+    * bins equal `assign`'s.
     */
   override def assignAll(rows: Array[Array[Double]]): Array[Int] =
-    rows.grouped(ModelPartitioner.Block)
-      .flatMap(b => net.predictProbs(Mat.fromRows(b.toIndexedSeq)).argmaxRows).toArray
-}
-
-object ModelPartitioner {
-  private val Block = 4096
+    if (rows.isEmpty) Array.empty else probs(Mat.fromRows(rows.toIndexedSeq)).argmaxRows
 }

@@ -75,12 +75,18 @@ object UspLoss {
     var winSum = 0.0
     var j = 0
     while (j < m) {
-      // indices of the nw largest entries of column j
-      val col = Array.tabulate(batch)(i => (probs(i, j), i))
-      val top = col.sortBy(-_._1).take(nw)
-      top.foreach { case (v, i) =>
-        winSum += v
-        dP(i, j) = -1.0 / batch
+      // The nw largest entries of column j, ties to the lower row, summed
+      // largest first: the entries and the order of a stable descending
+      // sort of the column, found by a bounded heap.
+      val heap = new KnnMatrix.Heap(nw)
+      var i = 0
+      while (i < batch) { heap.offer(-probs(i, j), i); i += 1 }
+      val top = heap.sorted()
+      var t = 0
+      while (t < top.length) {
+        winSum += probs(top(t), j)
+        dP(top(t), j) = -1.0 / batch
+        t += 1
       }
       j += 1
     }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.linalg.Mat
-import repro.nn.Net
+import repro.nn.{Net, PhaseMs}
 import java.util.Random
 
 /** Configuration of one USP training run (Algorithm 1, step 2).
@@ -24,9 +24,11 @@ final case class UspConfig(
 )
 
 /** Result of a training run: the model, final hard assignments of the
-  * dataset, and the per-epoch loss trace (for convergence tests).
+  * dataset, the per-epoch loss trace (for convergence tests) and the time
+  * each epoch spent in each phase of its steps.
   */
-final case class UspModel(net: Net, assignments: Array[Int], lossTrace: Array[Double], cfg: UspConfig)
+final case class UspModel(net: Net, assignments: Array[Int], lossTrace: Array[Double], cfg: UspConfig,
+                          phases: Array[PhaseMs])
 
 /** Trains one model with the unsupervised loss — partitioning and
   * learning-to-search in a single step (the paper's core claim).
@@ -54,14 +56,18 @@ object UspTrainer {
     // never read. Inference is row-local, so a neighbor's bin does not depend
     // on which other rows share its forward.
     val bins = new Array[Int](n)
-    val trace = net.fit(x, cfg.epochs, cfg.batchSize, cfg.lr, new Random(cfg.seed ^ 0x5eed)) { batchIds =>
-      val nbIds = batchIds.flatMap(knn(_)).distinct
+    val seen = new Array[Int](n) // the last step that listed each point as a neighbour
+    var step = 0
+    val fit = net.fit(x, cfg.epochs, cfg.batchSize, cfg.lr, new Random(cfg.seed ^ 0x5eed)) { batchIds =>
+      step += 1
+      // the batch's distinct neighbours, in order of first appearance
+      val nbIds = batchIds.flatMap(knn(_)).filter { id => val first = seen(id) != step; seen(id) = step; first }
       val nbBins = net.predictProbs(x.selectRows(nbIds)).argmaxRows
       var i = 0
       while (i < nbIds.length) { bins(nbIds(i)) = nbBins(i); i += 1 }
       val targets = UspLoss.neighborBinTargets(batchIds, knn, bins, cfg.m)
       probs => UspLoss.lossAndGrad(probs, targets, batchIds.map(w), cfg.eta)
     }
-    UspModel(net, new ModelPartitioner(net, cfg.m).assignAll(data), trace, cfg)
+    UspModel(net, new ModelPartitioner(net, cfg.m).assignAll(data), fit.lossTrace, cfg, fit.phases)
   }
 }

@@ -6,8 +6,9 @@ import java.util.concurrent.{ForkJoinPool, RecursiveAction}
   *
   * This is the substrate for the mini neural-network framework in
   * [[repro.nn]]: the offline container has no breeze/netlib, so the few
-  * BLAS-like kernels the paper's training loop needs (GEMM, transpose,
-  * row/col reductions, elementwise maps) are implemented here directly.
+  * BLAS-like kernels the paper's training loop needs (GEMM and its two
+  * transposed forms, row/col reductions, elementwise maps) are implemented
+  * here directly.
   *
   * Matrices are mutable on purpose — the training loop reuses gradient
   * buffers — but every operation that returns a `Mat` allocates a fresh
@@ -31,26 +32,70 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
   /** Matrix product `this * other`, parallelized over row blocks. */
   def *(other: Mat): Mat = {
     require(cols == other.rows, s"dim mismatch: ${rows}x$cols * ${other.rows}x${other.cols}")
-    val out = Mat.zeros(rows, other.cols)
+    mulRows(other.rowArrays, other.cols)
+  }
+
+  /** `this · otherᵀ`: entry (i, k) sums `this(i, j) · other(k, j)` over j
+    * ascending, skipping zero `this(i, j)`, exactly as `this * other.t`
+    * does. `other` is read as its columns (one copy of `other`, which is the
+    * small operand here: a weight matrix).
+    */
+  def timesT(other: Mat): Mat = {
+    require(cols == other.cols, s"dim mismatch: ${rows}x$cols * (${other.rows}x${other.cols})ᵀ")
+    mulRows(Array.tabulate(other.cols)(j => Array.tabulate(other.rows)(other(_, j))), other.rows)
+  }
+
+  /** `this · B` for B given as its `cols` rows, each `n` wide. */
+  private def mulRows(b: Array[Array[Double]], n: Int): Mat = {
+    val out = Mat.zeros(rows, n)
     Mat.parRows(rows) { (r0, r1) =>
-      val n = other.cols
+      val acc = new Array[Double](n)
       var i = r0
       while (i < r1) {
-        var k = 0
-        while (k < cols) {
-          val aik = a(i * cols + k)
-          if (aik != 0.0) {
-            val bOff = k * n; val cOff = i * n
-            var j = 0
-            while (j < n) { out.a(cOff + j) += aik * other.a(bOff + j); j += 1 }
-          }
-          k += 1
-        }
+        java.util.Arrays.fill(acc, 0.0)
+        Mat.mulAddRow(a, i * cols, cols, b, acc, n)
+        System.arraycopy(acc, 0, out.a, i * n, n)
         i += 1
       }
     }
     out
   }
+
+  /** `thisᵀ · other` without building the transpose: entry (k, j) sums
+    * `this(i, k) · other(i, j)` over i ascending, skipping zero `this(i, k)`,
+    * exactly as `t * other` does. Parallel over blocks of k.
+    */
+  def tTimes(other: Mat): Mat = {
+    require(rows == other.rows, s"dim mismatch: (${rows}x$cols)ᵀ * ${other.rows}x${other.cols}")
+    val n = other.cols
+    val dRows = other.rowArrays
+    val out = Mat.zeros(cols, n)
+    Mat.parRows(cols) { (k0, k1) =>
+      val g = Array.fill(k1 - k0)(new Array[Double](n))
+      var i = 0
+      while (i < rows) {
+        val d = dRows(i)
+        val off = i * cols
+        var k = k0
+        while (k < k1) {
+          val xik = a(off + k)
+          if (xik != 0.0) {
+            val gk = g(k - k0)
+            var j = 0
+            while (j < n) { gk(j) += xik * d(j); j += 1 }
+          }
+          k += 1
+        }
+        i += 1
+      }
+      var k = k0
+      while (k < k1) { System.arraycopy(g(k - k0), 0, out.a, k * n, n); k += 1 }
+    }
+    out
+  }
+
+  /** Each row as its own array. */
+  def rowArrays: Array[Array[Double]] = Array.tabulate(rows)(row)
 
   def t: Mat = {
     val out = Mat.zeros(cols, rows)
@@ -74,20 +119,6 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
   }
 
   def fill(v: Double): Unit = java.util.Arrays.fill(a, v)
-
-  /** Add a length-`cols` row vector to every row. */
-  def addRowVector(v: Array[Double]): Mat = {
-    require(v.length == cols)
-    val out = copy()
-    var i = 0
-    while (i < rows) {
-      val off = i * cols
-      var j = 0
-      while (j < cols) { out.a(off + j) += v(j); j += 1 }
-      i += 1
-    }
-    out
-  }
 
   def map(f: Double => Double): Mat = {
     val out = new Array[Double](a.length)
@@ -194,11 +225,32 @@ object Mat {
     m
   }
 
+  /** `acc(0 until n) += x(xOff + k) · b(k)(0 until n)` for k from 0 until
+    * `inner`, ascending, skipping zero x entries: one output row of a
+    * product, each entry summed over k in order. `acc` and the rows of `b`
+    * are indexed alike, which is what lets C2 vectorise the inner loop.
+    */
+  private[repro] def mulAddRow(x: Array[Double], xOff: Int, inner: Int, b: Array[Array[Double]],
+                               acc: Array[Double], n: Int): Unit = {
+    var k = 0
+    while (k < inner) {
+      val xk = x(xOff + k)
+      if (xk != 0.0) {
+        val bk = b(k)
+        var j = 0
+        while (j < n) { acc(j) += xk * bk(j); j += 1 }
+      }
+      k += 1
+    }
+  }
+
   private lazy val pool = new ForkJoinPool(
     math.max(1, Runtime.getRuntime.availableProcessors() - 1))
 
-  /** Run `body(r0, r1)` over disjoint row ranges, in parallel for big inputs. */
-  private[linalg] def parRows(rows: Int)(body: (Int, Int) => Unit): Unit = {
+  /** Run `body(r0, r1)` over disjoint row ranges, in parallel for big
+    * inputs: ranges of at most 64 rows, or all rows in one call below 128.
+    */
+  private[repro] def parRows(rows: Int)(body: (Int, Int) => Unit): Unit = {
     val minBlock = 64
     if (rows < 2 * minBlock) body(0, rows)
     else {

@@ -15,16 +15,33 @@ object Param {
 
 /** One differentiable layer of the mini framework.
   *
-  * A training `forward` caches whatever `backward` needs, so training is NOT
-  * safe for concurrent batches (the training loop is sequential, matching
-  * the paper's single-GPU setup). Inference (`training = false`) writes no
-  * field, so threads may share a layer for it. `backward` receives dL/d(output) and must return dL/d(input) while
-  * accumulating dL/d(params) into `params.g`.
+  * `forward` is the training pass: it caches whatever `backward` needs, so
+  * training is NOT safe for concurrent batches (the training loop is
+  * sequential, matching the paper's single-GPU setup). `backward` receives
+  * dL/d(output), accumulates dL/d(params) into `params.g` and returns
+  * dL/d(input); `backwardParams` only accumulates.
+  *
+  * `inference()` captures the parameters as they are and returns the
+  * layer's [[Inference]], which [[Net.predictProbs]] runs.
   */
 trait Layer extends Serializable {
-  def forward(x: Mat, training: Boolean): Mat
+  def forward(x: Mat): Mat
   def backward(dOut: Mat): Mat
+  def backwardParams(dOut: Mat): Unit = { backward(dOut); () }
+  def inference(): Inference
+  /** Width of the output for an input `cols` wide. */
+  def outCols(cols: Int): Int = cols
   def params: Seq[Param]
+}
+
+/** One layer's inference over a block of rows held in caller-owned
+  * buffers, one array per row. It reads the first `cols` entries of
+  * x(0 until rows) and returns the rows that hold its output: `x` itself,
+  * overwritten, for an elementwise layer, else `spare`. It writes no field,
+  * so threads may share it.
+  */
+trait Inference {
+  def apply(x: Array[Array[Double]], rows: Int, cols: Int, spare: Array[Array[Double]]): Array[Array[Double]]
 }
 
 /** Fully connected layer `y = x W + b`, Glorot-uniform initialised. */
@@ -39,18 +56,55 @@ final class Linear(val in: Int, val out: Int, rng: Random) extends Layer {
 
   private var xCache: Mat = _
 
-  override def forward(x: Mat, training: Boolean): Mat = {
-    if (training) xCache = x
-    (x * w.v).addRowVector(b.v.a)
+  override def forward(x: Mat): Mat = {
+    xCache = x
+    val y = x * w.v
+    addBias(y.a, x.rows)
+    y
   }
 
   override def backward(dOut: Mat): Mat = {
-    w.g.addInPlace(xCache.t * dOut)
+    backwardParams(dOut)
+    dOut.timesT(w.v)
+  }
+
+  override def backwardParams(dOut: Mat): Unit = {
+    w.g.addInPlace(xCache.tTimes(dOut))
     val cs = dOut.colSum
     var j = 0
     while (j < out) { b.g.a(j) += cs(j); j += 1 }
-    dOut * w.v.t
   }
+
+  /** Adds b to each of the first `rows` rows of `y`, after the product. */
+  private def addBias(y: Array[Double], rows: Int): Unit = {
+    var i = 0
+    while (i < rows) {
+      val off = i * out
+      var j = 0
+      while (j < out) { y(off + j) += b.v.a(j); j += 1 }
+      i += 1
+    }
+  }
+
+  /** The forward's sums, in its order: the product, then the bias. */
+  override def inference(): Inference = {
+    val wRows = w.v.rowArrays
+    val bias = b.v.a.clone()
+    (x, rows, _, spare) => {
+      var i = 0
+      while (i < rows) {
+        val y = spare(i)
+        java.util.Arrays.fill(y, 0, out, 0.0)
+        Mat.mulAddRow(x(i), 0, in, wRows, y, out)
+        var j = 0
+        while (j < out) { y(j) += bias(j); j += 1 }
+        i += 1
+      }
+      spare
+    }
+  }
+
+  override def outCols(cols: Int): Int = out
 
   override def params: Seq[Param] = Seq(w, b)
 }
@@ -58,8 +112,8 @@ final class Linear(val in: Int, val out: Int, rng: Random) extends Layer {
 /** Rectified linear unit. */
 final class ReLU extends Layer {
   private var xCache: Mat = _
-  override def forward(x: Mat, training: Boolean): Mat = {
-    if (training) xCache = x
+  override def forward(x: Mat): Mat = {
+    xCache = x
     val out = new Array[Double](x.a.length)
     var i = 0
     while (i < x.a.length) { if (x.a(i) > 0) out(i) = x.a(i); i += 1 }
@@ -71,12 +125,22 @@ final class ReLU extends Layer {
     while (i < out.length) { if (xCache.a(i) > 0) out(i) = dOut.a(i); i += 1 }
     new Mat(dOut.rows, dOut.cols, out)
   }
+  override def inference(): Inference = (x, rows, cols, _) => {
+    var i = 0
+    while (i < rows) {
+      val r = x(i)
+      var j = 0
+      while (j < cols) { r(j) = if (r(j) > 0) r(j) else 0.0; j += 1 }
+      i += 1
+    }
+    x
+  }
   override def params: Seq[Param] = Nil
 }
 
 /** Batch normalization (Ioffe & Szegedy) over feature columns.
   *
-  * Training uses batch statistics and keeps running estimates
+  * The training forward uses batch statistics and keeps running estimates
   * (momentum `mom`) for inference, exactly as the paper's PyTorch layers do.
   */
 final class BatchNorm(val dim: Int, mom: Double = 0.9, eps: Double = 1e-5) extends Layer {
@@ -91,55 +155,59 @@ final class BatchNorm(val dim: Int, mom: Double = 0.9, eps: Double = 1e-5) exten
   private var invStd: Array[Double] = _
   private var nBatch: Int = 0
 
-  override def forward(x: Mat, training: Boolean): Mat = {
+  override def forward(x: Mat): Mat = {
     require(x.cols == dim)
     val out = Mat.zeros(x.rows, dim)
-    if (training) {
-      nBatch = x.rows
-      val mean = x.colSum.map(_ / nBatch)
-      val varr = new Array[Double](dim)
-      var i = 0
-      while (i < x.rows) {
-        val off = i * dim
-        var j = 0
-        while (j < dim) { val d = x.a(off + j) - mean(j); varr(j) += d * d; j += 1 }
-        i += 1
-      }
+    nBatch = x.rows
+    val mean = x.colSum.map(_ / nBatch)
+    val varr = new Array[Double](dim)
+    var i = 0
+    while (i < x.rows) {
+      val off = i * dim
       var j = 0
-      while (j < dim) {
-        varr(j) /= nBatch
-        runMean(j) = mom * runMean(j) + (1 - mom) * mean(j)
-        runVar(j)  = mom * runVar(j)  + (1 - mom) * varr(j)
-        j += 1
+      while (j < dim) { val d = x.a(off + j) - mean(j); varr(j) += d * d; j += 1 }
+      i += 1
+    }
+    var j = 0
+    while (j < dim) {
+      varr(j) /= nBatch
+      runMean(j) = mom * runMean(j) + (1 - mom) * mean(j)
+      runVar(j)  = mom * runVar(j)  + (1 - mom) * varr(j)
+      j += 1
+    }
+    invStd = varr.map(v => 1.0 / math.sqrt(v + eps))
+    xHat = Mat.zeros(x.rows, dim)
+    i = 0
+    while (i < x.rows) {
+      val off = i * dim
+      var j2 = 0
+      while (j2 < dim) {
+        val h = (x.a(off + j2) - mean(j2)) * invStd(j2)
+        xHat.a(off + j2) = h
+        out.a(off + j2) = gamma.v.a(j2) * h + beta.v.a(j2)
+        j2 += 1
       }
-      invStd = varr.map(v => 1.0 / math.sqrt(v + eps))
-      xHat = Mat.zeros(x.rows, dim)
-      i = 0
-      while (i < x.rows) {
-        val off = i * dim
-        var j2 = 0
-        while (j2 < dim) {
-          val h = (x.a(off + j2) - mean(j2)) * invStd(j2)
-          xHat.a(off + j2) = h
-          out.a(off + j2) = gamma.v.a(j2) * h + beta.v.a(j2)
-          j2 += 1
-        }
-        i += 1
-      }
-    } else {
-      val inv = runVar.map(v => 1.0 / math.sqrt(v + eps))
-      var i = 0
-      while (i < x.rows) {
-        val off = i * dim
-        var j = 0
-        while (j < dim) {
-          out.a(off + j) = gamma.v.a(j) * (x.a(off + j) - runMean(j)) * inv(j) + beta.v.a(j)
-          j += 1
-        }
-        i += 1
-      }
+      i += 1
     }
     out
+  }
+
+  /** Normalises with the running statistics, in place. */
+  override def inference(): Inference = {
+    val g = gamma.v.a.clone()
+    val bt = beta.v.a.clone()
+    val mean = runMean.clone()
+    val inv = runVar.map(v => 1.0 / math.sqrt(v + eps))
+    (x, rows, _, _) => {
+      var i = 0
+      while (i < rows) {
+        val r = x(i)
+        var j = 0
+        while (j < dim) { r(j) = g(j) * (r(j) - mean(j)) * inv(j) + bt(j); j += 1 }
+        i += 1
+      }
+      x
+    }
   }
 
   override def backward(dOut: Mat): Mat = {
@@ -182,9 +250,8 @@ final class BatchNorm(val dim: Int, mom: Double = 0.9, eps: Double = 1e-5) exten
 final class Dropout(p: Double, rng: Random) extends Layer {
   require(p >= 0 && p < 1)
   private var mask: Array[Double] = _
-  override def forward(x: Mat, training: Boolean): Mat = {
-    if (!training) x
-    else if (p == 0) { mask = null; x }
+  override def forward(x: Mat): Mat = {
+    if (p == 0) { mask = null; x }
     else {
       val keep = 1.0 - p
       mask = new Array[Double](x.a.length)
@@ -205,5 +272,6 @@ final class Dropout(p: Double, rng: Random) extends Layer {
       while (i < out.length) { out(i) = dOut.a(i) * mask(i); i += 1 }
       new Mat(dOut.rows, dOut.cols, out)
     }
+  override def inference(): Inference = (x, _, _, _) => x
   override def params: Seq[Param] = Nil
 }

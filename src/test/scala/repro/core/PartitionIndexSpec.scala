@@ -144,6 +144,30 @@ class PartitionIndexSpec extends SparkSpec {
     } finally pool.shutdown()
   }
 
+  test("threads running assignAll at once on a model and a hierarchy get the sequential results") {
+    // 5 000 rows: each assignAll splits into parallel inference blocks, so
+    // the blocks of four callers share the inference pool at once, as the
+    // tasks of a Spark index build do
+    val rows = Array.tabulate(5000)(i => data((i * 7) % data.length))
+    val leaves = Array.tabulate(4)(b => new ModelPartitioner(Net.mlp(4, 8, 3, seed = b), 3))
+    val partitioners: Seq[SpacePartitioner] = Seq(
+      new ModelPartitioner(model.net, 4), new HierPartitioner(new ModelPartitioner(model.net, 4), leaves))
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      for (p <- partitioners) {
+        val want = rows.map(p.assign).toSeq
+        val start = new java.util.concurrent.CountDownLatch(1)
+        val jobs = (0 until 4).map { _ =>
+          pool.submit(new java.util.concurrent.Callable[Seq[Int]] {
+            override def call(): Seq[Int] = { start.await(); p.assignAll(rows).toSeq }
+          })
+        }
+        start.countDown()
+        jobs.foreach(j => assert(j.get() == want, p.getClass.getSimpleName))
+      }
+    } finally pool.shutdown()
+  }
+
   test("index construction rejects out-of-range assignments") {
     intercept[IllegalArgumentException] {
       new PartitionIndex(new QuadrantPartitioner, Array(0, 1, 7))

@@ -31,11 +31,11 @@ class TrainerVariantsSpec extends SparkSpec {
     val x = repro.linalg.Mat(10, 4)((_, _) => rng.nextGaussian())
     val y = Array.tabulate(10)(_ % 3)
     def loss(): Double = {
-      val p = Net.softmaxRows(net.forward(x, training = true))
+      val p = Net.softmaxRows(net.forward(x))
       (0 until 10).map(i => -math.log(p(i, y(i)) + 1e-12)).sum
     }
     // analytic gradient
-    val p = Net.softmaxRows(net.forward(x, training = true))
+    val p = Net.softmaxRows(net.forward(x))
     val dz = repro.linalg.Mat(10, 3)((i, j) => p(i, j) - (if (j == y(i)) 1.0 else 0.0))
     net.zeroGrad(); net.backward(dz)
     val analytic = net.params.map(_.g.copy())

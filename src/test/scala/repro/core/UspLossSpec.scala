@@ -149,4 +149,45 @@ class UspLossSpec extends AnyFunSuite {
     val p = Mat.zeros(2, 3); val t = Mat.zeros(3, 3)
     intercept[IllegalArgumentException](UspLoss.lossAndGrad(p, t, Array(1.0, 1.0), 1.0))
   }
+
+  /** The balance window as a stable sort of each column finds it: the
+    * reference the bounded-heap selection must equal bit for bit.
+    */
+  private def sortedBalance(probs: Mat): (Double, Mat) = {
+    val batch = probs.rows
+    val m = probs.cols
+    val nw = math.max(1, math.ceil(batch.toDouble / m).toInt)
+    val dP = Mat.zeros(batch, m)
+    var winSum = 0.0
+    for (j <- 0 until m) {
+      val top = Array.tabulate(batch)(i => (probs(i, j), i)).sortBy(-_._1).take(nw)
+      top.foreach { case (v, i) => winSum += v; dP(i, j) = -1.0 / batch }
+    }
+    (-winSum / batch, dP)
+  }
+
+  private def assertSameBits(probs: Mat, clue: String): Unit = {
+    val (l, dP) = UspLoss.balanceLossGrad(probs)
+    val (lr, dPr) = sortedBalance(probs)
+    assert(java.lang.Double.doubleToLongBits(l) == java.lang.Double.doubleToLongBits(lr), clue)
+    assert(dP.a.toSeq.map(java.lang.Double.doubleToLongBits) ==
+           dPr.a.toSeq.map(java.lang.Double.doubleToLongBits), clue)
+  }
+
+  test("balance selection equals the stable sort's window, ties included, bit for bit") {
+    val rng = new Random(71)
+    // softmax batches, with a last batch that is not a multiple of m
+    for ((batch, m) <- Seq((800, 16), (37, 5), (128, 4), (88, 4), (65, 64)))
+      assertSameBits(Net.softmaxRows(randLogits(batch, m, batch * 31L + m)), s"softmax $batch x $m")
+    // uniform rows: every entry of a column ties
+    assertSameBits(Mat(50, 8)((_, _) => 0.125), "uniform")
+    // a few repeated values, so ties cross the window's edge
+    for (s <- 0 until 5) {
+      val levels = Array(0.0, 0.1, 0.25, 0.25, 0.5)
+      assertSameBits(Mat(61, 6)((_, _) => levels(rng.nextInt(levels.length))), s"repeated $s")
+    }
+    // batch < m: a window of one per column
+    assertSameBits(Net.softmaxRows(randLogits(3, 8, 72)), "batch < m")
+    assertSameBits(Mat(2, 7)((_, _) => 0.5), "batch < m, tied")
+  }
 }

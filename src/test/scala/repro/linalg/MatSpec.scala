@@ -109,14 +109,6 @@ class MatSpec extends AnyFunSuite {
     assert(a(0, 0) == 2.0 && a(0, 1) == 2.5)
   }
 
-  test("addRowVector adds to every row") {
-    val a = Mat.fromRows(Seq(Array(1.0, 2.0), Array(3.0, 4.0)))
-    val r = a.addRowVector(Array(10.0, 20.0))
-    assert(r(0, 0) == 11.0 && r(0, 1) == 22.0 && r(1, 0) == 13.0 && r(1, 1) == 24.0)
-    // original untouched
-    assert(a(0, 0) == 1.0)
-  }
-
   test("colSum and rowSum") {
     val a = Mat.fromRows(Seq(Array(1.0, 2.0), Array(3.0, 4.0)))
     assert(a.colSum.toSeq == Seq(4.0, 6.0))
@@ -175,5 +167,65 @@ class MatSpec extends AnyFunSuite {
     val l = (a * b).t
     val r = b.t * a.t
     assert(l.a.zip(r.a).forall { case (x, y) => math.abs(x - y) < 1e-9 })
+  }
+
+  // ─── the training kernels, bit for bit against naive sums kept here ───
+
+  /** Gaussian entries (half of them negative) with about a third set to 0. */
+  private def sparseMat(r: Int, c: Int, seed: Long): Mat = {
+    val rng = new Random(seed)
+    Mat(r, c)((_, _) => if (rng.nextDouble() < 0.35) 0.0 else rng.nextGaussian())
+  }
+
+  private def bits(m: Mat): Seq[Long] = m.a.toSeq.map(java.lang.Double.doubleToLongBits)
+
+  /** Shapes across the parallel split (128 rows) and the 64-row task size. */
+  private val shapes = Seq((1, 1, 1), (7, 5, 3), (64, 32, 128), (130, 33, 17), (257, 128, 16), (800, 129, 5))
+
+  test("product equals the naive k-ordered sum, zeros skipped, bit for bit") {
+    for (((r, in, out), s) <- shapes.zipWithIndex) {
+      val x = sparseMat(r, in, 100 + s); val w = sparseMat(in, out, 200 + s)
+      val naive = Mat(r, out) { (i, j) =>
+        var acc = 0.0
+        for (k <- 0 until in) if (x(i, k) != 0.0) acc += x(i, k) * w(k, j)
+        acc
+      }
+      assert(bits(x * w) == bits(naive), (r, in, out))
+    }
+  }
+
+  test("tTimes (xᵀ·dOut) equals the naive row-ordered sum and x.t * dOut, bit for bit") {
+    for (((r, in, out), s) <- shapes.zipWithIndex) {
+      val x = sparseMat(r, in, 300 + s); val d = sparseMat(r, out, 400 + s)
+      val naive = Mat(in, out) { (k, j) =>
+        var acc = 0.0
+        for (i <- 0 until r) if (x(i, k) != 0.0) acc += x(i, k) * d(i, j)
+        acc
+      }
+      val got = x.tTimes(d)
+      assert(got.rows == in && got.cols == out)
+      assert(bits(got) == bits(naive), (r, in, out))
+      assert(bits(got) == bits(x.t * d), (r, in, out))
+    }
+  }
+
+  test("timesT (dOut·wᵀ) equals the naive column-ordered sum and dOut * w.t, bit for bit") {
+    for (((r, in, out), s) <- shapes.zipWithIndex) {
+      val d = sparseMat(r, out, 500 + s); val w = sparseMat(in, out, 600 + s)
+      val naive = Mat(r, in) { (i, k) =>
+        var acc = 0.0
+        for (j <- 0 until out) if (d(i, j) != 0.0) acc += d(i, j) * w(k, j)
+        acc
+      }
+      val got = d.timesT(w)
+      assert(got.rows == r && got.cols == in)
+      assert(bits(got) == bits(naive), (r, in, out))
+      assert(bits(got) == bits(d * w.t), (r, in, out))
+    }
+  }
+
+  test("tTimes and timesT reject mismatched shapes") {
+    intercept[IllegalArgumentException](randMat(3, 2, 1).tTimes(randMat(4, 2, 2)))
+    intercept[IllegalArgumentException](randMat(3, 2, 1).timesT(randMat(3, 4, 2)))
   }
 }

@@ -11,7 +11,7 @@ import java.util.Random
 class GradCheckSpec extends AnyFunSuite {
 
   private def ceLossAndGrad(net: Net, x: Mat, y: Array[Int]): Double = {
-    val probs = Net.softmaxRows(net.forward(x, training = true))
+    val probs = Net.softmaxRows(net.forward(x))
     var loss = 0.0
     val dz = Mat.zeros(x.rows, probs.cols)
     for (i <- 0 until x.rows) {
@@ -25,7 +25,7 @@ class GradCheckSpec extends AnyFunSuite {
   }
 
   private def ceLossOnly(net: Net, x: Mat, y: Array[Int]): Double = {
-    val probs = Net.softmaxRows(net.forward(x, training = true))
+    val probs = Net.softmaxRows(net.forward(x))
     var loss = 0.0
     for (i <- 0 until x.rows) loss -= math.log(probs(i, y(i)) + 1e-12)
     loss
@@ -95,8 +95,10 @@ class GradCheckSpec extends AnyFunSuite {
     val net = Net.mlp(5, 7, 3, seed = 11, dropout = 0.0)
     val x = randX(9, 5, 12)
     ceLossAndGrad(net, x, Array.tabulate(9)(_ % 3))
-    val probs = Net.softmaxRows(net.forward(x, training = true))
-    val dx = net.backward(probs) // arbitrary upstream gradient
+    val probs = Net.softmaxRows(net.forward(x))
+    // arbitrary upstream gradient; Net.backward leaves dL/dx out, so the
+    // layers run one by one
+    val dx = net.layers.foldRight(probs)((l, g) => l.backward(g))
     assert(dx.rows == 9 && dx.cols == 5)
   }
 
@@ -104,10 +106,10 @@ class GradCheckSpec extends AnyFunSuite {
     val net = Net.logistic(3, 2, seed = 13)
     val x = randX(1, 3, 14)
     val y = Array(1)
-    val probs = Net.softmaxRows(net.forward(x, training = true))
+    val probs = Net.softmaxRows(net.forward(x))
     val dz = Mat.fromRows(Seq(Array(probs(0, 0) - 0.0, probs(0, 1) - 1.0)))
     net.zeroGrad()
-    val dx = net.backward(dz)
+    val dx = net.layers.foldRight(dz)((l, g) => l.backward(g))
     val eps = 1e-6
     for (j <- 0 until 3) {
       val xp = x.copy(); xp(0, j) += eps

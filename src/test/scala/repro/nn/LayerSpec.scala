@@ -16,7 +16,7 @@ class LayerSpec extends AnyFunSuite {
     lin.w.v(0, 0) = 1; lin.w.v(0, 1) = 2; lin.w.v(0, 2) = 3
     lin.w.v(1, 0) = 4; lin.w.v(1, 1) = 5; lin.w.v(1, 2) = 6
     lin.b.v(0, 0) = 0.5; lin.b.v(0, 1) = -0.5; lin.b.v(0, 2) = 0.0
-    val y = lin.forward(Mat.fromRows(Seq(Array(1.0, 1.0))), training = true)
+    val y = lin.forward(Mat.fromRows(Seq(Array(1.0, 1.0))))
     assert(y.row(0).toSeq == Seq(5.5, 6.5, 9.0))
   }
 
@@ -37,7 +37,7 @@ class LayerSpec extends AnyFunSuite {
 
   test("ReLU zeroes negatives, passes positives, and masks gradients") {
     val relu = new ReLU
-    val y = relu.forward(Mat.fromRows(Seq(Array(-1.0, 2.0, 0.0))), training = true)
+    val y = relu.forward(Mat.fromRows(Seq(Array(-1.0, 2.0, 0.0))))
     assert(y.row(0).toSeq == Seq(0.0, 2.0, 0.0))
     val g = relu.backward(Mat.fromRows(Seq(Array(5.0, 5.0, 5.0))))
     assert(g.row(0).toSeq == Seq(0.0, 5.0, 0.0))
@@ -46,15 +46,15 @@ class LayerSpec extends AnyFunSuite {
   test("Dropout is identity at inference") {
     val drop = new Dropout(0.5, new Random(3))
     val x = randMat(4, 4, 4)
-    val y = drop.forward(x, training = false)
-    assert(y.a.toSeq == x.a.toSeq)
+    val y = drop.inference()(x.rowArrays, 4, 4, Array.fill(4)(new Array[Double](4)))
+    assert(y.toSeq.flatten == x.a.toSeq)
   }
 
   test("Dropout zeroes roughly p of entries and rescales the rest") {
     val p = 0.3
     val drop = new Dropout(p, new Random(5))
     val x = Mat(200, 10)((_, _) => 1.0)
-    val y = drop.forward(x, training = true)
+    val y = drop.forward(x)
     val zeros = y.a.count(_ == 0.0)
     val frac = zeros.toDouble / y.a.length
     assert(math.abs(frac - p) < 0.05, s"dropped fraction $frac far from $p")
@@ -65,7 +65,7 @@ class LayerSpec extends AnyFunSuite {
   test("Dropout gradient uses the same mask as the forward pass") {
     val drop = new Dropout(0.5, new Random(6))
     val x = Mat(50, 4)((_, _) => 1.0)
-    val y = drop.forward(x, training = true)
+    val y = drop.forward(x)
     val g = drop.backward(Mat(50, 4)((_, _) => 1.0))
     // gradient must be zero exactly where the output was zero
     assert(y.a.zip(g.a).forall { case (yv, gv) => (yv == 0.0) == (gv == 0.0) })
@@ -74,7 +74,7 @@ class LayerSpec extends AnyFunSuite {
   test("BatchNorm normalizes batch columns to mean 0 / var 1 in training") {
     val bn = new BatchNorm(3)
     val x = randMat(500, 3, 7).map(_ * 5 + 2)
-    val y = bn.forward(x, training = true)
+    val y = bn.forward(x)
     val mean = y.colSum.map(_ / 500)
     assert(mean.forall(m => math.abs(m) < 1e-8))
     for (j <- 0 until 3) {
@@ -87,7 +87,7 @@ class LayerSpec extends AnyFunSuite {
   test("BatchNorm running stats converge toward the data stats") {
     val bn = new BatchNorm(2, mom = 0.5)
     val x = randMat(1000, 2, 8).map(_ * 3 + 1)
-    for (_ <- 0 until 20) bn.forward(x, training = true)
+    for (_ <- 0 until 20) bn.forward(x)
     assert(math.abs(bn.runMean(0) - 1.0) < 0.3)
     assert(math.abs(bn.runVar(0) - 9.0) < 1.5)
   }
@@ -95,12 +95,11 @@ class LayerSpec extends AnyFunSuite {
   test("BatchNorm inference uses running stats, not batch stats") {
     val bn = new BatchNorm(1, mom = 0.0) // running stats = last batch stats
     val train = Mat.fromRows((1 to 100).map(i => Array(i.toDouble)))
-    bn.forward(train, training = true)
+    bn.forward(train)
     // a single out-of-distribution point at inference must not be renormalized to 0
-    val y = bn.forward(Mat.fromRows(Seq(Array(50.5))), training = false)
-    assert(math.abs(y(0, 0)) < 0.1) // 50.5 equals the training mean → ≈ 0 under running stats
-    val y2 = bn.forward(Mat.fromRows(Seq(Array(1000.0))), training = false)
-    assert(y2(0, 0) > 10) // far point stays far
+    def infer(v: Double): Double = bn.inference()(Array(Array(v)), 1, 1, Array(new Array[Double](1)))(0)(0)
+    assert(math.abs(infer(50.5)) < 0.1) // 50.5 equals the training mean → ≈ 0 under running stats
+    assert(infer(1000.0) > 10) // far point stays far
   }
 
   test("BatchNorm gamma/beta shift the normalized output") {
@@ -108,7 +107,7 @@ class LayerSpec extends AnyFunSuite {
     bn.gamma.v(0, 0) = 2.0
     bn.beta.v(0, 0) = 1.0
     val x = Mat.fromRows(Seq(Array(-1.0), Array(1.0)))
-    val y = bn.forward(x, training = true)
+    val y = bn.forward(x)
     // normalized values are ±1, so outputs are 1 ± 2
     assert(math.abs(y(0, 0) - (-1.0)) < 1e-4)
     assert(math.abs(y(1, 0) - 3.0) < 1e-4)
@@ -116,7 +115,7 @@ class LayerSpec extends AnyFunSuite {
 
   test("Param zeroGrad resets gradient buffers") {
     val lin = new Linear(2, 2, new Random(9))
-    lin.forward(randMat(3, 2, 10), training = true)
+    lin.forward(randMat(3, 2, 10))
     lin.backward(randMat(3, 2, 11))
     assert(lin.w.g.a.exists(_ != 0.0))
     lin.params.foreach(_.zeroGrad())
@@ -196,7 +195,7 @@ class LayerSpec extends AnyFunSuite {
     val opt = new Adam(net.params, lr = 0.05)
     val x = Mat.fromRows(xs.toIndexedSeq)
     for (_ <- 0 until 100) {
-      val probs = Net.softmaxRows(net.forward(x, training = true))
+      val probs = Net.softmaxRows(net.forward(x))
       val dz = Mat.zeros(n, 2)
       for (i <- 0 until n; j <- 0 until 2)
         dz(i, j) = (probs(i, j) - (if (j == ys(i)) 1.0 else 0.0)) / n
@@ -231,12 +230,58 @@ class LayerSpec extends AnyFunSuite {
     // Net.mlp holds every layer kind that caches: Linear, BatchNorm, ReLU, Dropout
     def grads(interleave: Boolean): Seq[Seq[Double]] = {
       val net = Net.mlp(5, 8, 3, seed = 17)
-      val y = net.forward(randMat(6, 5, 18), training = true)
+      val y = net.forward(randMat(6, 5, 18))
       if (interleave) net.predictProbs(randMat(4, 5, 19))
       net.zeroGrad()
       net.backward(Mat(y.rows, y.cols)((i, j) => (i + 1) * 0.1 - j * 0.2))
       net.params.map(_.g.a.toSeq)
     }
     assert(grads(interleave = true) == grads(interleave = false))
+  }
+
+  /** Inference one layer at a time over whole matrices, with each entry
+    * computed as the training forward orders it: the reference for the
+    * block path of `predictProbs`.
+    */
+  private def layerByLayer(net: Net, x: Mat): Mat =
+    Net.softmaxRows(net.layers.foldLeft(x) { (h, layer) =>
+      layer match {
+        case lin: Linear => Mat(h.rows, lin.out) { (i, j) =>
+          var s = 0.0
+          for (k <- 0 until lin.in) if (h(i, k) != 0.0) s += h(i, k) * lin.w.v(k, j)
+          s + lin.b.v(0, j)
+        }
+        case bn: BatchNorm => Mat(h.rows, bn.dim) { (i, j) =>
+          bn.gamma.v(0, j) * (h(i, j) - bn.runMean(j)) * (1.0 / math.sqrt(bn.runVar(j) + 1e-5)) + bn.beta.v(0, j)
+        }
+        case _: ReLU => h.map(v => if (v > 0) v else 0.0)
+        case _: Dropout => h
+        case other => fail(s"no reference for ${other.getClass.getSimpleName}")
+      }
+    })
+
+  test("block inference equals the layer-by-layer reference, bit for bit") {
+    val nets = Seq("mlp" -> Net.mlp(6, 20, 5, seed = 21), "mlp2" -> Net.mlp2(6, 20, 5, seed = 22),
+                   "logistic" -> Net.logistic(6, 5, seed = 23))
+    for ((name, net) <- nets) {
+      // a few training forwards and steps move BatchNorm's running statistics
+      // and the weights away from their initial values
+      val opt = new Adam(net.params, lr = 0.05)
+      for (s <- 0 until 3) {
+        val y = net.forward(randMat(40, 6, 30 + s).map(_ * 2 + 1))
+        net.zeroGrad(); net.backward(y.map(_ * 0.1)); opt.step()
+      }
+      for (rows <- Seq(1, 63, 64, 65, 1000)) {
+        val x = randMat(rows, 6, rows).map(v => if (v < -0.8) 0.0 else v)
+        val got = net.predictProbs(x)
+        assert(got.rows == rows && got.cols == 5)
+        assert(got.a.toSeq.map(java.lang.Double.doubleToLongBits) ==
+               layerByLayer(net, x).a.toSeq.map(java.lang.Double.doubleToLongBits), s"$name, $rows rows")
+      }
+    }
+  }
+
+  test("predictProbs of no rows is empty") {
+    assert(Net.mlp(4, 8, 3, seed = 1).predictProbs(Mat.zeros(0, 4)).rows == 0)
   }
 }
