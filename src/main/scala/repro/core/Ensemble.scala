@@ -91,25 +91,46 @@ final class EnsembleIndex(trained: Ensemble.Trained,
     sortedScores.takeRight(mProbe).sum
 
   // per-(model, probe-depth) calibration over a data sample
-  private val calib: Array[Array[Double]] = {
+  private[core] val calib: Array[Array[Double]] = {
     val sample = calibrationData.take(500)
     Array.tabulate(parts.length) { j =>
-      val sorted = sample.map(v => parts(j).partitioner.binScores(v).sorted)
+      val scores = SpacePartitioner.scoreBlock(parts(j).partitioner, sample)
+      val sorted = Array.tabulate(sample.length)(i => scores.row(i).sorted)
       Array.tabulate(m + 1)(p => sorted.map(rawConf(_, p)).sum / sample.length)
     }
   }
 
-  override def candidates(q: Array[Double], mProbe: Int): Array[Int] = {
+  /** The member with the highest calibrated confidence at depth `mProbe`
+    * (clamped to [1, m]), given each member's ascending-sorted score row;
+    * the first such member on ties.
+    */
+  private def mostConfident(sorted: Int => Array[Double], mProbe: Int): Int = {
     val p = math.min(math.max(mProbe, 1), m)
-    val scores = parts.map(_.partitioner.binScores(q))
     var best = 0
     var bestConf = Double.NegativeInfinity
     var j = 0
     while (j < parts.length) {
-      val conf = rawConf(scores(j).sorted, p) / calib(j)(p)
+      val conf = rawConf(sorted(j), p) / calib(j)(p)
       if (conf > bestConf) { bestConf = conf; best = j }
       j += 1
     }
+    best
+  }
+
+  override def candidates(q: Array[Double], mProbe: Int): Array[Int] = {
+    val scores = parts.map(_.partitioner.binScores(q))
+    val best = mostConfident(scores(_).sorted, mProbe)
     parts(best).gather(SpacePartitioner.rank(scores(best)), mProbe)
   }
+
+  /** Each member scores the queries in one batch and ranks and sorts each
+    * query's score row once; at each depth the counts are the most
+    * confident member's, at `gather`'s depth.
+    */
+  override def probeCounts(n: Int, queries: Array[Array[Double]], gt: Array[Array[Int]],
+                           probes: Seq[Int]): Seq[CandidateIndex.ProbeCounts] =
+    PartitionIndex.probeCounts(parts, queries, gt, probes) { rows =>
+      val sorted = rows.map(_.sorted)
+      mostConfident(sorted, _)
+    }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.linalg.Mat
+
 /** Hierarchical partitioning (§4.4.2): a root model splits the dataset into
   * m1 bins; a leaf model per root bin splits its subset into m2 bins, for
   * m1·m2 total. A query's final bin probability is the product of the
@@ -79,5 +81,18 @@ final class HierPartitioner(root: ModelPartitioner, leaves: Array[ModelPartition
   override def binScores(q: Array[Double]): Array[Double] = {
     val rp = root.binScores(q)
     rp.indices.toArray.flatMap(j => leaves(j).binScores(q).map(rp(j) * _))
+  }
+
+  /** The root over all rows in one batch, then each leaf over all rows in
+    * one batch; the products are formed as `binScores(q)` forms them.
+    */
+  override def binScores(rows: Mat): Mat = {
+    val rp = root.binScores(rows)
+    val out = Mat.zeros(rows.rows, numBins)
+    for (j <- leaves.indices) {
+      val lp = leaves(j).binScores(rows)
+      for (i <- 0 until rows.rows; t <- 0 until m2) out(i, j * m2 + t) = rp(i, j) * lp(i, t)
+    }
+    out
   }
 }

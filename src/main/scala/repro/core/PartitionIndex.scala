@@ -25,6 +25,19 @@ trait SpacePartitioner extends Serializable {
     */
   def assignAll(rows: Array[Array[Double]]): Array[Int] = rows.map(assign)
 
+  /** The scores of every row of `rows`, one row each: row i is
+    * `binScores(rows.row(i))`, which a partitioner may compute in a batch.
+    */
+  def binScores(rows: Mat): Mat = {
+    val out = Mat.zeros(rows.rows, numBins)
+    var i = 0
+    while (i < rows.rows) {
+      System.arraycopy(binScores(rows.row(i)), 0, out.a, i * numBins, numBins)
+      i += 1
+    }
+    out
+  }
+
   final def probeOrder(q: Array[Double]): Array[Int] = SpacePartitioner.rank(binScores(q))
 }
 
@@ -32,6 +45,10 @@ object SpacePartitioner {
   /** Bin ids by descending score; a stable sort, so ties keep bin order. */
   def rank(scores: Array[Double]): Array[Int] =
     Array.tabulate(scores.length)(identity).sortBy(b => -scores(b))
+
+  /** `p.binScores` of a block of vectors in one batch; no vectors, no rows. */
+  private[core] def scoreBlock(p: SpacePartitioner, vs: Array[Array[Double]]): Mat =
+    if (vs.isEmpty) Mat.zeros(0, p.numBins) else p.binScores(Mat.fromRows(vs.toIndexedSeq))
 }
 
 /** Anything that can produce a candidate set for a query at probe depth m'.
@@ -40,6 +57,39 @@ object SpacePartitioner {
 trait CandidateIndex {
   /** Dataset point ids likely near `q`, probing the `mProbe` best bins. */
   def candidates(q: Array[Double], mProbe: Int): Array[Int]
+
+  /** For each probe depth in `probes`, summed over the queries: |C|, and
+    * the ids of each query's ground truth `gt(qi)` that are in C; `n` is
+    * the number of dataset points. An index may count these without
+    * building C; this default builds it with `candidates`.
+    */
+  def probeCounts(n: Int, queries: Array[Array[Double]], gt: Array[Array[Int]],
+                  probes: Seq[Int]): Seq[CandidateIndex.ProbeCounts] = {
+    val mark = new Array[Boolean](n)
+    probes.map { probe =>
+      var candSum = 0L
+      var hits = 0L
+      var qi = 0
+      while (qi < queries.length) {
+        val cand = candidates(queries(qi), probe)
+        var i = 0
+        while (i < cand.length) { mark(cand(i)) = true; i += 1 }
+        val g = gt(qi)
+        var j = 0
+        while (j < g.length) { if (mark(g(j))) hits += 1; j += 1 }
+        candSum += cand.length
+        i = 0
+        while (i < cand.length) { mark(cand(i)) = false; i += 1 }
+        qi += 1
+      }
+      CandidateIndex.ProbeCounts(candSum, hits)
+    }
+  }
+}
+
+object CandidateIndex {
+  /** |C| and ground-truth hits at one probe depth, summed over queries. */
+  final case class ProbeCounts(cand: Long, hits: Long)
 }
 
 /** A trained partitioner plus its bin→points lookup table (Algorithm 1,
@@ -74,6 +124,13 @@ final class PartitionIndex(val partitioner: SpacePartitioner,
     out.result()
   }
 
+  /** One batch of scores and one rank per query; see the companion's
+    * `probeCounts`.
+    */
+  override def probeCounts(n: Int, queries: Array[Array[Double]], gt: Array[Array[Int]],
+                           probes: Seq[Int]): Seq[CandidateIndex.ProbeCounts] =
+    PartitionIndex.probeCounts(Seq(this), queries, gt, probes)(_ => _ => 0)
+
   /** Exact k-NN within the candidate set (Algorithm 2, step 3). */
   def search(data: Array[Array[Double]], q: Array[Double], k: Int, mProbe: Int): Array[Int] = {
     val cand = candidates(q, mProbe)
@@ -94,6 +151,47 @@ object PartitionIndex {
       }
     new PartitionIndex(partitioner, assignments)
   }
+
+  /** The sweep counts of indexes with the same bin count over the same
+    * points, without building a candidate set. Each index scores the
+    * queries in one batch and ranks each query once. Probing the first d
+    * bins of a rank, d = `probe` clamped to [0, numBins] as `gather` reads
+    * it, gives a |C| that is the prefix sum of their sizes and the hits
+    * that are the ground-truth ids whose bin is among them. At each probe
+    * depth a query's counts come from index `pick(its score rows)(probe)`.
+    */
+  private[core] def probeCounts(indexes: Seq[PartitionIndex], queries: Array[Array[Double]],
+                                gt: Array[Array[Int]], probes: Seq[Int])
+                               (pick: Seq[Array[Double]] => Int => Int): Seq[CandidateIndex.ProbeCounts] = {
+    val m = indexes.head.partitioner.numBins
+    val ps = probes.toArray
+    val depths = ps.map(p => math.min(math.max(p, 0), m))
+    val cand = new Array[Long](ps.length)
+    val hits = new Array[Long](ps.length)
+    val scores = indexes.map(idx => SpacePartitioner.scoreBlock(idx.partitioner, queries))
+    // per index, for the current query: |C| and hits after its first d bins
+    val candAt = Array.ofDim[Long](indexes.length, m + 1)
+    val hitsAt = Array.ofDim[Long](indexes.length, m + 1)
+    val rankOf = new Array[Int](m)
+    for (qi <- queries.indices) {
+      val rows = scores.map(_.row(qi))
+      for ((idx, j) <- indexes.zipWithIndex) {
+        val order = SpacePartitioner.rank(rows(j))
+        val (c, h) = (candAt(j), hitsAt(j))
+        java.util.Arrays.fill(h, 0L)
+        for (r <- 0 until m) { rankOf(order(r)) = r; c(r + 1) = c(r) + idx.lookup(order(r)).length }
+        for (g <- gt(qi)) h(rankOf(idx.assignments(g)) + 1) += 1
+        for (r <- 0 until m) h(r + 1) += h(r)
+      }
+      val member = pick(rows)
+      for (k <- ps.indices) {
+        val j = member(ps(k))
+        cand(k) += candAt(j)(depths(k))
+        hits(k) += hitsAt(j)(depths(k))
+      }
+    }
+    ps.indices.map(k => CandidateIndex.ProbeCounts(cand(k), hits(k)))
+  }
 }
 
 /** USP model as a [[SpacePartitioner]]: a bin's score is the trained
@@ -105,9 +203,12 @@ final class ModelPartitioner(net: Net, val numBins: Int) extends SpacePartitione
 
   override def binScores(q: Array[Double]): Array[Double] = probs(new Mat(1, q.length, q)).a
 
+  /** One batched inference; it is row-local, so row i equals `binScores(q_i)`. */
+  override def binScores(rows: Mat): Mat = probs(rows)
+
   /** One batched inference over all rows. Inference is row-local, so the
     * bins equal `assign`'s.
     */
   override def assignAll(rows: Array[Array[Double]]): Array[Int] =
-    if (rows.isEmpty) Array.empty else probs(Mat.fromRows(rows.toIndexedSeq)).argmaxRows
+    SpacePartitioner.scoreBlock(this, rows).argmaxRows
 }

@@ -10,6 +10,11 @@ import repro.core.CandidateIndex
   * true k-NN inside C is by definition among the k closest points of C, so
   * membership equals what the final brute-force scan (Algorithm 2, step 3)
   * would return.
+  *
+  * The counts come from the index's `probeCounts`: for a partition index,
+  * one batch of scores and one rank per query, after which |C| at depth m'
+  * is a prefix sum of bin sizes and the hits are the ground-truth ids
+  * whose bin ranks below m'.
   */
 object Sweep {
 
@@ -17,26 +22,11 @@ object Sweep {
 
   def run(index: CandidateIndex, n: Int, queries: Array[Array[Double]],
           gt: Array[Array[Int]], probes: Seq[Int]): Seq[Point] = {
-    val mark = new Array[Boolean](n)
-    probes.map { probe =>
-      var candSum = 0L
-      var hits = 0L
-      var total = 0L
-      var qi = 0
-      while (qi < queries.length) {
-        val cand = index.candidates(queries(qi), probe)
-        var i = 0
-        while (i < cand.length) { mark(cand(i)) = true; i += 1 }
-        val g = gt(qi)
-        var j = 0
-        while (j < g.length) { if (mark(g(j))) hits += 1; j += 1 }
-        total += g.length
-        candSum += cand.length
-        i = 0
-        while (i < cand.length) { mark(cand(i)) = false; i += 1 }
-        qi += 1
-      }
-      Point(probe, candSum.toDouble / queries.length, hits.toDouble / total)
+    require(gt.length == queries.length,
+      s"${queries.length} queries but ground truth for ${gt.length}")
+    val total = gt.map(_.length.toLong).sum
+    index.probeCounts(n, queries, gt, probes).zip(probes).map { case (c, probe) =>
+      Point(probe, c.cand.toDouble / queries.length, c.hits.toDouble / total)
     }
   }
 

@@ -2,7 +2,8 @@ package repro
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.NeuralLsh
-import repro.core.{Hierarchical, KnnMatrix, UspConfig, UspTrainer}
+import repro.core.{CandidateIndex, Ensemble, EnsembleIndex, Hierarchical, KnnMatrix, UspConfig, UspTrainer}
+import repro.eval.Sweep
 import repro.linalg.Mat
 import repro.nn.Net
 
@@ -11,13 +12,24 @@ import repro.nn.Net
   * every inference probability. The values were recorded before the
   * training-step kernels were rewritten (batched inference, transpose-free
   * backward, the LCG dropout draws, the selected balance window); any
-  * change of floating-point order in those paths fails here.
+  * change of floating-point order in those paths fails here. The sweep
+  * curves were recorded before the sweeps were computed in one pass.
   */
 class GoldenBitsSpec extends AnyFunSuite {
 
   private lazy val data = SynthData.gaussianMixture(600, 8, 4, seed = 21)
   private lazy val knn = KnnMatrix.blockKnn(data, data, 10, excludeSelf = true)
   private lazy val x = Mat.fromRows(data.toIndexedSeq)
+
+  // held out from the same draw as `data`
+  private lazy val queries = SynthData.gaussianMixture(700, 8, 4, seed = 21).drop(600)
+  private lazy val gt = KnnMatrix.blockKnn(data, queries, 10, excludeSelf = false)
+  private lazy val ensemble =
+    Ensemble.train(data, knn, UspConfig(m = 8, epochs = 2, batchSize = 128, hidden = 16, seed = 11), e = 3)
+
+  /** avgCand and accuracy bits of the sweep at m' = 1..8, depth by depth. */
+  private def curve(index: CandidateIndex): Seq[Long] =
+    Sweep.run(index, data.length, queries, gt, 1 to 8).flatMap(p => bits(Array(p.avgCand, p.accuracy)))
 
   private def bits(trace: Array[Double]): Seq[Long] = trace.toSeq.map(java.lang.Double.doubleToLongBits)
   private def hash(a: Array[Int]): Int = java.util.Arrays.hashCode(a)
@@ -59,5 +71,21 @@ class GoldenBitsSpec extends AnyFunSuite {
       m2 = 3, leafEpochs = 2)
     assert(hash(t.partitioner.assignAll(data)) == 1631229666)
     assert(hash(data.flatMap(t.partitioner.binScores)) == 1934341105)
+  }
+
+  test("a USP index's sweep curve repeats its recorded bits") {
+    assert(curve(ensemble.indexes.head) == Seq(
+      4641297185977348915L, 4606119569287957971L, 4643017349928771912L, 4607038303611941552L,
+      4644264635919321006L, 4607182418800017408L, 4645077043070852137L, 4607182418800017408L,
+      4646151046028863734L, 4607182418800017408L, 4647017109347830333L, 4607182418800017408L,
+      4647423137001735455L, 4607182418800017408L, 4648488871632306176L, 4607182418800017408L))
+  }
+
+  test("a 3-model EnsembleIndex's sweep curve repeats its recorded bits") {
+    assert(curve(new EnsembleIndex(ensemble, data)) == Seq(
+      4642624692336260547L, 4606894188423865696L, 4643523477121269760L, 4607119368405234221L,
+      4645062265634574828L, 4607182418800017408L, 4645502949894987448L, 4607182418800017408L,
+      4646666673001825567L, 4607182418800017408L, 4646822539770179092L, 4607182418800017408L,
+      4647847196646336102L, 4607182418800017408L, 4648488871632306176L, 4607182418800017408L))
   }
 }

@@ -52,6 +52,19 @@ class EnsembleSpec extends SparkSpec {
     }
   }
 
+  test("the batched calibration equals a row-by-row reference bit for bit") {
+    val trained = Ensemble.train(data, knn, cfg.copy(epochs = 3), e = 2)
+    val calibData = data ++ data.take(100) // more than the 500-row sample
+    val idx = new EnsembleIndex(trained, calibData)
+    val sample = calibData.take(500)
+    val reference = trained.indexes.map { part =>
+      val sorted = sample.map(v => part.partitioner.binScores(v).sorted)
+      Array.tabulate(cfg.m + 1)(p => sorted.map(_.takeRight(p).sum).sum / sample.length)
+    }
+    def bits(c: Seq[Array[Double]]) = c.map(_.toSeq.map(java.lang.Double.doubleToLongBits))
+    assert(bits(idx.calib.toSeq) == bits(reference))
+  }
+
   test("ensemble accuracy at fixed probe depth is at least the first model's") {
     val queries = SynthData.gaussianMixture(60, 6, 4, seed = 44)
     val gt = KnnMatrix.queryKnn(spark, data, queries, 10)

@@ -50,6 +50,13 @@ class SweepSpec extends SparkSpec {
     assert(pts.head.accuracy == 0.0 && pts.head.avgCand == 0.0)
   }
 
+  test("Sweep.run requires ground truth for every query, no more and no less") {
+    for (g <- Seq(gt.dropRight(1), gt :+ gt.head)) {
+      val e = intercept[IllegalArgumentException](Sweep.run(index, data.length, queries, g, Seq(1, 2)))
+      assert(e.getMessage.contains(s"${queries.length} queries but ground truth for ${g.length}"))
+    }
+  }
+
   test("candidateSizeAtAccuracy interpolates linearly between sweep points") {
     val pts = Seq(
       Sweep.Point(1, 100.0, 0.5),
